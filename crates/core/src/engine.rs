@@ -84,6 +84,7 @@ pub(crate) fn delta_ops(after: &OpCounts, before: &OpCounts) -> OpCounts {
         mul: after.mul - before.mul,
         div: after.div - before.div,
         lut: after.lut - before.lut,
+        log_lut: after.log_lut - before.log_lut,
         approx: after.approx - before.approx,
         cmp: after.cmp - before.cmp,
     }
@@ -92,9 +93,10 @@ pub(crate) fn delta_ops(after: &OpCounts, before: &OpCounts) -> OpCounts {
 /// Attribute a sweep's modeled cycles to profiler kernels on `lane`.
 ///
 /// The split mirrors how the fused PG datapath spends its op tally:
-/// accumulator add/mul/div land in `pg.normalize`, NormTree comparators in
-/// `pg.dynorm`, TableExp/TableLog lookups and approximation-ALU calls in
-/// `pg.exp_batch` — together exactly [`OpCounts::sequential_cycles`], so the
+/// TableLog lookups (`log_lut`) land in `pg.log`, accumulator add/mul/div
+/// in `pg.normalize`, NormTree comparators in `pg.dynorm`, the remaining
+/// (TableExp) lookups and approximation-ALU calls in `pg.exp_batch` —
+/// together exactly [`OpCounts::sequential_cycles`], so the
 /// ledger's modeled total matches the journal's `pg_cycles`. SD is the
 /// sampler's own latency tally and PU is [`PU_CYCLES`] per committed update,
 /// matching [`RunStats::simulated_hw_cycles`].
@@ -105,6 +107,7 @@ pub(crate) fn emit_kernel_cycles<Rec: Recorder>(
     sd_cycles: u64,
     updates: u64,
 ) {
+    rec.prof_cycles(lane, Kernel::PgLog, ops.log_lut * LUT_CYCLES);
     rec.prof_cycles(
         lane,
         Kernel::PgNormalize,
@@ -114,10 +117,22 @@ pub(crate) fn emit_kernel_cycles<Rec: Recorder>(
     rec.prof_cycles(
         lane,
         Kernel::PgExpBatch,
-        ops.lut * LUT_CYCLES + ops.approx * EXP_APPROX_CYCLES,
+        (ops.lut - ops.log_lut) * LUT_CYCLES + ops.approx * EXP_APPROX_CYCLES,
     );
     rec.prof_cycles(lane, Kernel::SdSampleRows, sd_cycles);
     rec.prof_cycles(lane, Kernel::PuUpdate, PU_CYCLES * updates);
+}
+
+/// Emit a fused datapath's stage times as kernel leaves on `lane`. The
+/// `pg.log` leaf appears only once the log stage has run (factor scores),
+/// so log-domain workloads keep the vocabulary they always had.
+pub(crate) fn emit_phase_leaves<Rec: Recorder>(rec: &Rec, lane: usize, phases: &StagePhases) {
+    if phases.log_ns > 0 {
+        rec.prof_leaf(lane, Kernel::PgLog, phases.log_ns);
+    }
+    rec.prof_leaf(lane, Kernel::PgNormalize, phases.normalize_ns);
+    rec.prof_leaf(lane, Kernel::PgDynorm, phases.dynorm_ns);
+    rec.prof_leaf(lane, Kernel::PgExpBatch, phases.exp_ns);
 }
 
 /// Drives a [`GibbsModel`] through PG → SD → PU sweeps.
@@ -233,12 +248,7 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P,
             self.recorder
                 .prof_leaf(0, Kernel::PgGather, (tg - t0).as_nanos() as u64);
             if phases.active {
-                self.recorder
-                    .prof_leaf(0, Kernel::PgNormalize, phases.normalize_ns);
-                self.recorder
-                    .prof_leaf(0, Kernel::PgDynorm, phases.dynorm_ns);
-                self.recorder
-                    .prof_leaf(0, Kernel::PgExpBatch, phases.exp_ns);
+                emit_phase_leaves(&self.recorder, 0, &phases);
             }
             self.recorder
                 .prof_leaf(0, Kernel::SdSampleRows, (t2 - t1).as_nanos() as u64);

@@ -28,7 +28,7 @@ use coopmc_sampler::{SampleResult, SampleScratch, Sampler, TreeSampler};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::engine::{emit_kernel_cycles, PU_CYCLES};
+use crate::engine::{emit_kernel_cycles, emit_phase_leaves, PU_CYCLES};
 use crate::pipeline::{PgBatch, PgOutput, ProbabilityPipeline};
 use crate::pool::WorkerPool;
 
@@ -89,12 +89,9 @@ struct ChunkTrace {
     telemetry: PgTelemetry,
     /// Time in `scores_into` (the PG gather), profiling only.
     gather_ns: u64,
-    /// Fused-datapath stage splits, profiling only.
-    normalize_ns: u64,
-    dynorm_ns: u64,
-    exp_ns: u64,
-    /// Whether any evaluation reported stage phases (fused pipelines only).
-    phases_active: bool,
+    /// Fused-datapath stage splits, profiling only (`active` only if the
+    /// pipeline reports stages at all).
+    phases: StagePhases,
     /// Datapath op tally, for per-lane modeled-cycle attribution.
     ops: OpCounts,
 }
@@ -342,10 +339,8 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         let tr = &scratch.trace;
         let rec = &self.recorder;
         rec.prof_leaf(lane, Kernel::PgGather, tr.gather_ns);
-        if tr.phases_active {
-            rec.prof_leaf(lane, Kernel::PgNormalize, tr.normalize_ns);
-            rec.prof_leaf(lane, Kernel::PgDynorm, tr.dynorm_ns);
-            rec.prof_leaf(lane, Kernel::PgExpBatch, tr.exp_ns);
+        if tr.phases.active {
+            emit_phase_leaves(rec, lane, &tr.phases);
         }
         rec.prof_leaf(lane, Kernel::SdSampleRows, tr.sd_ns);
         // PU commits happen on the coordinator after the class barrier, so
@@ -365,16 +360,11 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         prof: bool,
     ) {
         if prof {
-            let mut phases = StagePhases::default();
-            self.pipeline
-                .generate_into_profiled(&scratch.scores, &mut scratch.pg, &mut phases);
-            if phases.active {
-                let tr = &mut scratch.trace;
-                tr.phases_active = true;
-                tr.normalize_ns += phases.normalize_ns;
-                tr.dynorm_ns += phases.dynorm_ns;
-                tr.exp_ns += phases.exp_ns;
-            }
+            self.pipeline.generate_into_profiled(
+                &scratch.scores,
+                &mut scratch.pg,
+                &mut scratch.trace.phases,
+            );
         } else {
             self.pipeline
                 .generate_into(&scratch.scores, &mut scratch.pg);
@@ -413,20 +403,12 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         }
         let t0 = timing.then(std::time::Instant::now);
         if prof {
-            let mut phases = StagePhases::default();
             self.pipeline.generate_batch_into_profiled(
                 &scratch.batch_scores,
                 width,
                 &mut scratch.batch,
-                &mut phases,
+                &mut scratch.trace.phases,
             );
-            if phases.active {
-                let tr = &mut scratch.trace;
-                tr.phases_active = true;
-                tr.normalize_ns += phases.normalize_ns;
-                tr.dynorm_ns += phases.dynorm_ns;
-                tr.exp_ns += phases.exp_ns;
-            }
         } else {
             self.pipeline
                 .generate_batch_into(&scratch.batch_scores, width, &mut scratch.batch);

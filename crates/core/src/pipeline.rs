@@ -12,7 +12,7 @@ use coopmc_fixed::QFormat;
 use coopmc_kernels::cost::OpCounts;
 use coopmc_kernels::dynorm::dynorm_apply;
 use coopmc_kernels::exp::{ExpKernel, FixedExp, TableExp};
-use coopmc_kernels::fusion::{DirectDatapath, FactorExpr, LogFusion, StagePhases};
+use coopmc_kernels::fusion::{DirectDatapath, LogFusion, StagePhases};
 use coopmc_kernels::log::TableLog;
 use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_models::LabelScore;
@@ -112,37 +112,41 @@ fn batch_rows_via_scalar<P: ProbabilityPipeline + ?Sized>(
 /// threads — while still letting every thread's hot path reuse warm buffers.
 #[derive(Debug, Default)]
 struct PgScratch {
-    /// Quantized/accumulated log-domain scores.
+    /// Log-domain scores, or the linear values of the log-domain entries
+    /// of a factor vector (see [`factor_rows`]).
     log_scores: Vec<f64>,
     /// Secondary work buffer handed to the fused kernels.
     work: Vec<f64>,
-    /// Factor expressions rebuilt from `LabelScore::Factors` inputs; inner
-    /// vectors are recycled across calls.
-    exprs: Vec<FactorExpr>,
 }
 
 thread_local! {
     static PG_SCRATCH: RefCell<PgScratch> = RefCell::new(PgScratch::default());
 }
 
-/// Rebuild `exprs` from `scores`, recycling every inner factor vector.
-fn refill_exprs(scores: &[LabelScore], exprs: &mut Vec<FactorExpr>) {
-    exprs.truncate(scores.len());
-    exprs.resize_with(scores.len(), FactorExpr::default);
-    for (s, e) in scores.iter().zip(exprs.iter_mut()) {
-        e.numerators.clear();
-        e.denominators.clear();
-        match s {
-            LabelScore::Factors {
-                numerators,
-                denominators,
-            } => {
-                e.numerators.extend_from_slice(numerators);
-                e.denominators.extend_from_slice(denominators);
-            }
-            LabelScore::LogDomain(v) => e.numerators.push(v.exp()),
-        }
+/// Borrow `scores` as the `(numerators, denominators)` rows the factor
+/// datapaths iterate, one per label, copying no factor.
+///
+/// A `LogDomain(v)` score among factor scores enters as the single
+/// numerator `v.exp()`; `exps` is refilled to hold those values.
+fn factor_rows<'a>(
+    scores: &'a [LabelScore],
+    exps: &'a mut Vec<f64>,
+) -> impl Iterator<Item = (&'a [f64], &'a [f64])> + Clone + 'a {
+    exps.clear();
+    if scores.iter().any(|s| matches!(s, LabelScore::LogDomain(_))) {
+        exps.extend(scores.iter().map(|s| match s {
+            LabelScore::LogDomain(v) => v.exp(),
+            LabelScore::Factors { .. } => 0.0,
+        }));
     }
+    let exps: &'a [f64] = exps;
+    scores.iter().enumerate().map(move |(i, s)| match s {
+        LabelScore::Factors {
+            numerators,
+            denominators,
+        } => (&numerators[..], &denominators[..]),
+        LabelScore::LogDomain(_) => (std::slice::from_ref(&exps[i]), &[][..]),
+    })
 }
 
 /// A Probability Generation datapath.
@@ -372,10 +376,8 @@ impl ProbabilityPipeline for FixedPipeline {
             }
             // Factor form: direct fixed-point multiply/divide (no NormTree,
             // no exp kernel — nothing to observe).
-            refill_exprs(scores, &mut scratch.exprs);
-            out.ops = self
-                .direct
-                .evaluate_factors_into(&scratch.exprs, &mut out.probs);
+            let rows = factor_rows(scores, &mut scratch.log_scores);
+            out.ops = self.direct.evaluate_factor_rows_into(rows, &mut out.probs);
         });
     }
 
@@ -434,10 +436,15 @@ impl CoopMcPipeline {
     pub fn bit_lut(&self) -> u32 {
         self.bit_lut
     }
-}
 
-impl ProbabilityPipeline for CoopMcPipeline {
-    fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput) {
+    /// One scalar evaluation, phased when `phases` is given: log-domain
+    /// vectors take the log-score path, anything else the factor rows.
+    fn generate_phased_into(
+        &self,
+        scores: &[LabelScore],
+        out: &mut PgOutput,
+        phases: Option<&mut StagePhases>,
+    ) {
         PG_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             let all_log = scores.iter().all(|s| matches!(s, LabelScore::LogDomain(_)));
@@ -448,22 +455,38 @@ impl ProbabilityPipeline for CoopMcPipeline {
                     LabelScore::LogDomain(v) => *v,
                     _ => unreachable!(),
                 }));
-                self.fusion.evaluate_log_scores_traced_into(
-                    &scratch.log_scores,
-                    &mut scratch.work,
-                    &mut out.probs,
-                    &mut out.telemetry,
-                )
+                let (log_scores, work) = (&scratch.log_scores, &mut scratch.work);
+                match phases {
+                    Some(phases) => self.fusion.evaluate_log_scores_phased_into(
+                        log_scores,
+                        work,
+                        &mut out.probs,
+                        &mut out.telemetry,
+                        phases,
+                    ),
+                    None => self.fusion.evaluate_log_scores_traced_into(
+                        log_scores,
+                        work,
+                        &mut out.probs,
+                        &mut out.telemetry,
+                    ),
+                }
             } else {
-                refill_exprs(scores, &mut scratch.exprs);
-                self.fusion.evaluate_factors_traced_into(
-                    &scratch.exprs,
+                self.fusion.evaluate_factor_rows_into(
+                    factor_rows(scores, &mut scratch.log_scores),
                     &mut scratch.work,
                     &mut out.probs,
-                    &mut out.telemetry,
+                    Some(&mut out.telemetry),
+                    phases,
                 )
             };
         });
+    }
+}
+
+impl ProbabilityPipeline for CoopMcPipeline {
+    fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput) {
+        self.generate_phased_into(scores, out, None);
     }
 
     fn generate_batch_into(&self, scores: &[LabelScore], width: usize, out: &mut PgBatch) {
@@ -504,34 +527,7 @@ impl ProbabilityPipeline for CoopMcPipeline {
         out: &mut PgOutput,
         phases: &mut StagePhases,
     ) {
-        PG_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let all_log = scores.iter().all(|s| matches!(s, LabelScore::LogDomain(_)));
-            out.telemetry = PgTelemetry::new();
-            out.ops = if all_log {
-                scratch.log_scores.clear();
-                scratch.log_scores.extend(scores.iter().map(|s| match s {
-                    LabelScore::LogDomain(v) => *v,
-                    _ => unreachable!(),
-                }));
-                self.fusion.evaluate_log_scores_phased_into(
-                    &scratch.log_scores,
-                    &mut scratch.work,
-                    &mut out.probs,
-                    &mut out.telemetry,
-                    phases,
-                )
-            } else {
-                refill_exprs(scores, &mut scratch.exprs);
-                self.fusion.evaluate_factors_phased_into(
-                    &scratch.exprs,
-                    &mut scratch.work,
-                    &mut out.probs,
-                    &mut out.telemetry,
-                    phases,
-                )
-            };
-        });
+        self.generate_phased_into(scores, out, Some(phases));
     }
 
     fn generate_batch_into_profiled(

@@ -4,7 +4,9 @@
 //! warm steady-state sweep of [`GibbsEngine`] with the fixed-point pipeline
 //! and the tree sampler: after a warm-up run has grown every scratch buffer
 //! (engine score/PG/sampler buffers, per-thread pipeline scratch), a full
-//! sweep must allocate **nothing**.
+//! sweep must allocate **nothing**. The CoopMC pipeline's factor path
+//! (LogFusion over borrowed factor rows) is held to the same guarantee on
+//! LDA and on a Bayesian network.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrently running sibling test would pollute
@@ -16,9 +18,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use coopmc_core::engine::GibbsEngine;
-use coopmc_core::pipeline::FixedPipeline;
+use coopmc_core::engine::{GibbsEngine, RunStats};
+use coopmc_core::pipeline::{FixedPipeline, PipelineConfig};
+use coopmc_models::bn::asia;
+use coopmc_models::lda::{synthetic_corpus, CorpusSpec, Lda};
 use coopmc_models::mrf::image_segmentation;
+use coopmc_models::GibbsModel;
 use coopmc_obs::NoopRecorder;
 use coopmc_rng::SplitMix64;
 use coopmc_sampler::TreeSampler;
@@ -67,7 +72,7 @@ fn warm_steady_state_sweep_allocates_nothing() {
         TreeSampler::new(),
         SplitMix64::new(7),
     );
-    let mut stats = coopmc_core::engine::RunStats::default();
+    let mut stats = RunStats::default();
 
     // Warm-up: grows the engine's score/PG/sampler buffers and the
     // pipeline's per-thread scratch to this model's label count.
@@ -98,7 +103,7 @@ fn warm_steady_state_sweep_allocates_nothing() {
         SplitMix64::new(7),
         NoopRecorder,
     );
-    let mut stats = coopmc_core::engine::RunStats::default();
+    let mut stats = RunStats::default();
     engine.sweep(&mut app.mrf, &mut stats);
     engine.sweep(&mut app.mrf, &mut stats);
 
@@ -113,4 +118,41 @@ fn warm_steady_state_sweep_allocates_nothing() {
         "a warm instrumented-but-disabled sweep must not touch the heap \
          ({allocs} allocations observed)"
     );
+
+    // The CoopMC factor path: every LDA and BN label score is a factor
+    // row, read in place by LogFusion (again sequentially, same test).
+    let spec = CorpusSpec {
+        n_docs: 20,
+        n_vocab: 60,
+        n_topics: 6,
+        doc_len: 20,
+        topics_per_doc: 2,
+        seed: 13,
+    };
+    let mut lda = Lda::new(&synthetic_corpus(&spec), 6, 0.5, 0.01);
+    lda.randomize_topics(7);
+    let mut bn = asia();
+    let models: [(&str, &mut dyn GibbsModel); 2] = [("LDA", &mut lda), ("BN-ASIA", &mut bn)];
+    for (name, model) in models {
+        let mut engine = GibbsEngine::new(
+            PipelineConfig::coopmc(64, 8).build(),
+            TreeSampler::new(),
+            SplitMix64::new(7),
+        );
+        let mut stats = RunStats::default();
+        engine.sweep(model, &mut stats);
+        engine.sweep(model, &mut stats);
+
+        ALLOCS.store(0, Ordering::SeqCst);
+        ARMED.store(true, Ordering::SeqCst);
+        engine.sweep(model, &mut stats);
+        ARMED.store(false, Ordering::SeqCst);
+
+        let allocs = ALLOCS.load(Ordering::SeqCst);
+        assert_eq!(
+            allocs, 0,
+            "a warm CoopMC {name} sweep must not touch the heap ({allocs} allocations observed)"
+        );
+        assert!(stats.ops.log_lut > 0, "{name} must run the factor path");
+    }
 }

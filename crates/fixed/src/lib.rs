@@ -43,17 +43,17 @@ pub use value::Fixed;
 /// beyond, and `x - trunc(x)` is always exact in f64, so the adjustment
 /// compare reproduces round-half-away-from-zero bit for bit. Callers must
 /// reject NaN themselves (a NaN input returns 0).
+///
+/// The adjustment is added as `0.0`/`1.0` rather than chosen by a branch:
+/// the fractional part of quantized data is effectively random, so a
+/// branch mispredicts about half the time. `t` is never `-0.0` and the
+/// adjusted sums are exact (a fraction exists only below 2^52), so the
+/// result equals the branching form's.
 #[inline]
 pub fn round_ties_away(x: f64) -> f64 {
     let t = x as i64 as f64;
     let f = x - t;
-    if f >= 0.5 {
-        t + 1.0
-    } else if f <= -0.5 {
-        t - 1.0
-    } else {
-        t
-    }
+    t + f64::from(u8::from(f >= 0.5)) - f64::from(u8::from(f <= -0.5))
 }
 
 /// Quantize `x` to an unsigned value with `frac_bits` fractional bits,

@@ -92,13 +92,14 @@ pub fn reconcile(
 /// does not price).
 fn kernel_provenance(kernel: Kernel) -> (&'static str, bool) {
     match kernel {
+        Kernel::PgLog => ("TableLog lookups (log_lut) at LUT_CYCLES", true),
         Kernel::PgNormalize => (
             "accumulator add/mul/div tally priced by coopmc_kernels::cost",
             true,
         ),
         Kernel::PgDynorm => ("NormTree comparator tally at TREE_LAYER_CYCLES", true),
         Kernel::PgExpBatch => (
-            "TableExp/TableLog lookups at LUT_CYCLES plus approximation ALUs at EXP_APPROX_CYCLES",
+            "TableExp lookups at LUT_CYCLES plus approximation ALUs at EXP_APPROX_CYCLES",
             true,
         ),
         Kernel::SdSampleRows => ("sampler latency_cycles tally (coopmc_hw::cycles)", true),

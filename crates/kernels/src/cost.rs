@@ -71,6 +71,10 @@ pub struct OpCounts {
     pub div: u64,
     /// LUT lookups (TableExp + TableLog).
     pub lut: u64,
+    /// The log-kernel share of `lut` (one per linear-domain factor). A
+    /// sub-count for the profiler's `pg.log` attribution, not priced on its
+    /// own: [`OpCounts::sequential_cycles`] charges it once, inside `lut`.
+    pub log_lut: u64,
     /// Approximation-based exp/log ALU invocations.
     pub approx: u64,
     /// Comparator operations (NormTree, samplers).
@@ -101,6 +105,7 @@ impl OpCounts {
         self.mul += other.mul;
         self.div += other.div;
         self.lut += other.lut;
+        self.log_lut += other.log_lut;
         self.approx += other.approx;
         self.cmp += other.cmp;
     }
@@ -117,6 +122,7 @@ mod tests {
             mul: 1,
             div: 0,
             lut: 3,
+            log_lut: 2,
             approx: 0,
             cmp: 0,
         };

@@ -26,15 +26,19 @@ use crate::telemetry::PgTelemetry;
 /// Per-stage wall times of one fused PG evaluation, filled by the
 /// `*_phased_into` variants for the kernel profiler.
 ///
-/// Stage names follow the datapath order: `normalize` is the
-/// accumulator-bus arithmetic/requantization feeding the bus, `dynorm`
-/// the NormTree max-shift, `exp` the TableExp lookup. Times accumulate
-/// across calls so one `StagePhases` can cover a whole sweep.
+/// Stage names follow the datapath order: `log` is the log-kernel lookup
+/// of every linear-domain factor, `normalize` the accumulator-bus
+/// arithmetic/requantization feeding the bus, `dynorm` the NormTree
+/// max-shift, `exp` the TableExp lookup. Times accumulate across calls so
+/// one `StagePhases` can cover a whole sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StagePhases {
     /// True once any phased evaluation has run; lets callers distinguish
     /// "no stage decomposition available" from "stages took 0 ns".
     pub active: bool,
+    /// Log-kernel lookups of linear-domain factors, quantized onto the
+    /// accumulator bus, ns (0 for log-domain scores).
+    pub log_ns: u64,
     /// Accumulator-bus arithmetic / requantization, ns.
     pub normalize_ns: u64,
     /// DyNorm NormTree max-shift, ns.
@@ -48,6 +52,27 @@ impl StagePhases {
     pub fn reset(&mut self) {
         *self = StagePhases::default();
     }
+}
+
+/// Charge the time since `since` to one stage of `phases` and restart the
+/// stage clock; `None` (and no clock read) when the call is unprofiled.
+fn lap(
+    phases: &mut Option<&mut StagePhases>,
+    since: Option<Instant>,
+    stage: fn(&mut StagePhases) -> &mut u64,
+) -> Option<Instant> {
+    let (p, since) = (phases.as_deref_mut()?, since?);
+    let now = Instant::now();
+    *stage(p) += now.duration_since(since).as_nanos() as u64;
+    Some(now)
+}
+
+/// Start the stage clock of a phased evaluation (marking it active).
+fn start(phases: &mut Option<&mut StagePhases>) -> Option<Instant> {
+    phases.as_deref_mut().map(|p| {
+        p.active = true;
+        Instant::now()
+    })
 }
 
 /// One element of a probability vector expressed as a product of linear
@@ -80,6 +105,12 @@ impl FactorExpr {
             numerators,
             denominators,
         }
+    }
+
+    /// The expression as a borrowed `(numerators, denominators)` row, the
+    /// form the factor datapaths iterate.
+    pub fn row(&self) -> (&[f64], &[f64]) {
+        (&self.numerators, &self.denominators)
     }
 
     /// Exact real value of the expression (float reference).
@@ -125,9 +156,15 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     ///
     /// # Panics
     ///
-    /// Panics if `pipelines == 0`.
+    /// Panics if `pipelines == 0`, or if `acc_fmt` has more than 52
+    /// integer + fractional bits: the bus is modeled in `f64`, where every
+    /// sum of two bus values is exact only up to that width.
     pub fn new(log: L, exp: E, acc_fmt: QFormat, pipelines: usize) -> Self {
         assert!(pipelines > 0, "pipeline count must be positive");
+        assert!(
+            acc_fmt.int_bits() + acc_fmt.frac_bits() <= 52,
+            "accumulator bus must fit an f64 mantissa"
+        );
         Self {
             log,
             exp,
@@ -171,7 +208,7 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     ///
     /// `work` holds the log-domain accumulator values between accumulation
     /// and the exp stage; `probs` receives the output vector. Both are
-    /// cleared first and only grow if shorter than `exprs` — with warmed
+    /// cleared first and only grow if shorter than needed — with warmed
     /// buffers the evaluation is allocation-free.
     pub fn evaluate_factors_into(
         &self,
@@ -179,68 +216,72 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         work: &mut Vec<f64>,
         probs: &mut Vec<f64>,
     ) -> OpCounts {
-        self.factors_impl(exprs, work, probs, None, None)
+        self.evaluate_factor_rows_into(exprs.iter().map(FactorExpr::row), work, probs, None, None)
     }
 
-    /// [`LogFusion::evaluate_factors_into`] that additionally records
-    /// DyNorm/exp-kernel telemetry for the run journal. `telemetry` is a
-    /// plain stack accumulator; recording costs a handful of comparisons
-    /// per call and no allocation.
-    pub fn evaluate_factors_traced_into(
+    /// The factor datapath itself: evaluate one label per borrowed
+    /// `(numerators, denominators)` row, with no copy of the factors.
+    ///
+    /// Stage `log` looks up every factor, row by row and numerators
+    /// first, and quantizes it onto the accumulator bus. Stage `normalize`
+    /// sums each row's logs on the bus, `Σ log a_i − Σ log b_j`, saturating
+    /// after every add exactly as a fixed-point adder would. DyNorm and the
+    /// exp kernel follow. `telemetry` (DyNorm/exp-kernel observations for
+    /// the run journal; a plain stack accumulator) and `phases` (per-stage
+    /// wall times for the kernel profiler) are recorded when given; neither
+    /// changes the result. Same buffer contract as
+    /// [`LogFusion::evaluate_factors_into`].
+    pub fn evaluate_factor_rows_into<'r, I>(
         &self,
-        exprs: &[FactorExpr],
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-        telemetry: &mut PgTelemetry,
-    ) -> OpCounts {
-        self.factors_impl(exprs, work, probs, Some(telemetry), None)
-    }
-
-    /// [`LogFusion::evaluate_factors_traced_into`] that additionally
-    /// accumulates per-stage wall times into `phases` for the kernel
-    /// profiler. The result is bit-identical to the unphased call.
-    pub fn evaluate_factors_phased_into(
-        &self,
-        exprs: &[FactorExpr],
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-        telemetry: &mut PgTelemetry,
-        phases: &mut StagePhases,
-    ) -> OpCounts {
-        self.factors_impl(exprs, work, probs, Some(telemetry), Some(phases))
-    }
-
-    fn factors_impl(
-        &self,
-        exprs: &[FactorExpr],
+        rows: I,
         work: &mut Vec<f64>,
         probs: &mut Vec<f64>,
         telemetry: Option<&mut PgTelemetry>,
         mut phases: Option<&mut StagePhases>,
-    ) -> OpCounts {
-        let mut ops = OpCounts::new();
-        let t0 = phases.as_deref_mut().map(|p| {
-            p.active = true;
-            Instant::now()
+    ) -> OpCounts
+    where
+        I: IntoIterator<Item = (&'r [f64], &'r [f64])>,
+        I::IntoIter: Clone,
+    {
+        let rows = rows.into_iter();
+        let t0 = start(&mut phases);
+        let bus = self.acc_fmt;
+        let (n_rows, n_factors) = rows.clone().fold((0, 0), |(r, f), (num, den)| {
+            (r + 1, f + num.len() + den.len())
         });
         work.clear();
-        for e in exprs {
-            let mut acc = Fixed::zero(self.acc_fmt);
-            for &a in &e.numerators {
-                ops.lut += 1;
-                acc = acc + Fixed::from_f64(self.log.log(a), self.acc_fmt, Rounding::Nearest);
-                ops.add += 1;
+        work.resize(n_rows + n_factors, 0.0);
+        let (scores, logs) = work.split_at_mut(n_rows);
+        let mut slots = logs.iter_mut();
+        for (num, den) in rows.clone() {
+            for (&x, slot) in num.iter().chain(den).zip(slots.by_ref()) {
+                *slot = bus.requantize_nearest(self.log.log(x));
             }
-            for &b in &e.denominators {
-                ops.lut += 1;
-                acc = acc - Fixed::from_f64(self.log.log(b), self.acc_fmt, Rounding::Nearest);
-                ops.add += 1;
+        }
+        let t1 = lap(&mut phases, t0, |p| &mut p.log_ns);
+        // Both operands sit on the bus grid, so each f64 sum is exact and
+        // the clamp is the adder's saturation.
+        let (lo, hi) = (bus.min_value(), bus.max_value());
+        let mut logs = logs.iter();
+        for ((num, den), score) in rows.zip(scores.iter_mut()) {
+            let mut acc = 0.0;
+            for &l in logs.by_ref().take(num.len()) {
+                acc = (acc + l).clamp(lo, hi);
             }
-            work.push(acc.to_f64());
+            for &l in logs.by_ref().take(den.len()) {
+                acc = (acc - l).clamp(lo, hi);
+            }
+            *score = acc;
         }
-        if let (Some(p), Some(t0)) = (phases.as_deref_mut(), t0) {
-            p.normalize_ns += t0.elapsed().as_nanos() as u64;
-        }
+        work.truncate(n_rows);
+        lap(&mut phases, t1, |p| &mut p.normalize_ns);
+        let n_factors = n_factors as u64;
+        let mut ops = OpCounts {
+            lut: n_factors,
+            log_lut: n_factors,
+            add: n_factors,
+            ..OpCounts::new()
+        };
         self.finish_into(work, probs, &mut ops, telemetry, phases);
         ops
     }
@@ -300,15 +341,10 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         mut phases: Option<&mut StagePhases>,
     ) -> OpCounts {
         let mut ops = OpCounts::new();
-        let t0 = phases.as_deref_mut().map(|p| {
-            p.active = true;
-            Instant::now()
-        });
+        let t0 = start(&mut phases);
         work.clear();
         work.extend(scores.iter().map(|&s| self.acc_fmt.requantize_nearest(s)));
-        if let (Some(p), Some(t0)) = (phases.as_deref_mut(), t0) {
-            p.normalize_ns += t0.elapsed().as_nanos() as u64;
-        }
+        lap(&mut phases, t0, |p| &mut p.normalize_ns);
         self.finish_into(work, probs, &mut ops, telemetry, phases);
         ops
     }
@@ -325,7 +361,7 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         if scores.is_empty() {
             return;
         }
-        let t0 = phases.as_deref_mut().map(|_| Instant::now());
+        let t0 = phases.as_deref().map(|_| Instant::now());
         if self.dynorm {
             let report = dynorm_apply(scores, self.pipelines);
             ops.cmp += report.comparisons;
@@ -341,20 +377,12 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
                 t.observe_exp_input(s);
             }
         }
-        let t1 = if let (Some(p), Some(t0)) = (phases.as_deref_mut(), t0) {
-            let now = Instant::now();
-            p.dynorm_ns += now.duration_since(t0).as_nanos() as u64;
-            Some(now)
-        } else {
-            None
-        };
+        let t1 = lap(&mut phases, t0, |p| &mut p.dynorm_ns);
         probs.extend(scores.iter().map(|&s| {
             ops.lut += 1;
             self.exp.exp(s)
         }));
-        if let (Some(p), Some(t1)) = (phases, t1) {
-            p.exp_ns += t1.elapsed().as_nanos() as u64;
-        }
+        lap(&mut phases, t1, |p| &mut p.exp_ns);
     }
 }
 
@@ -434,22 +462,13 @@ impl<L: LogKernel> LogFusion<L, TableExp> {
             0,
             "batch length must be a multiple of the row width"
         );
-        let t0 = phases.as_deref_mut().map(|p| {
-            p.active = true;
-            Instant::now()
-        });
+        let t0 = start(&mut phases);
         // Stage 1: the accumulator-bus quantization, identical per score.
         work.clear();
         work.extend(scores.iter().map(|&s| self.acc_fmt.requantize_nearest(s)));
         ops_per_row.clear();
         probs.clear();
-        let t1 = if let (Some(p), Some(t0)) = (phases.as_deref_mut(), t0) {
-            let now = Instant::now();
-            p.normalize_ns += now.duration_since(t0).as_nanos() as u64;
-            Some(now)
-        } else {
-            None
-        };
+        let t1 = lap(&mut phases, t0, |p| &mut p.normalize_ns);
         if scores.is_empty() {
             return;
         }
@@ -477,19 +496,11 @@ impl<L: LogKernel> LogFusion<L, TableExp> {
         for &s in work.iter() {
             telemetry.observe_exp_input(s);
         }
-        let t2 = if let (Some(p), Some(t1)) = (phases.as_deref_mut(), t1) {
-            let now = Instant::now();
-            p.dynorm_ns += now.duration_since(t1).as_nanos() as u64;
-            Some(now)
-        } else {
-            None
-        };
+        let t2 = lap(&mut phases, t1, |p| &mut p.dynorm_ns);
         // Stage 3: one gathered TableExp lookup over the whole batch.
         probs.resize(scores.len(), 0.0);
         self.exp.exp_batch_into(work, probs);
-        if let (Some(p), Some(t2)) = (phases, t2) {
-            p.exp_ns += t2.elapsed().as_nanos() as u64;
-        }
+        lap(&mut phases, t2, |p| &mut p.exp_ns);
     }
 }
 
@@ -524,15 +535,25 @@ impl DirectDatapath {
     /// output buffer (cleared first); allocation-free once `probs` has
     /// capacity for `exprs.len()` values.
     pub fn evaluate_factors_into(&self, exprs: &[FactorExpr], probs: &mut Vec<f64>) -> OpCounts {
+        self.evaluate_factor_rows_into(exprs.iter().map(FactorExpr::row), probs)
+    }
+
+    /// [`DirectDatapath::evaluate_factors_into`] over borrowed
+    /// `(numerators, denominators)` rows, one per label.
+    pub fn evaluate_factor_rows_into<'r>(
+        &self,
+        rows: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
+        probs: &mut Vec<f64>,
+    ) -> OpCounts {
         let mut ops = OpCounts::new();
         probs.clear();
-        for e in exprs {
+        for (num, den) in rows {
             let mut acc = Fixed::one(self.fmt);
-            for &a in &e.numerators {
+            for &a in num {
                 acc = acc * Fixed::from_f64(a, self.fmt, Rounding::Nearest);
                 ops.mul += 1;
             }
-            for &b in &e.denominators {
+            for &b in den {
                 acc = acc / Fixed::from_f64(b, self.fmt, Rounding::Nearest);
                 ops.div += 1;
             }
@@ -815,12 +836,18 @@ mod tests {
         let exprs = vec![FactorExpr::product(vec![0.5, 0.7])];
         let (mut wf, mut pf, mut telf) = (Vec::new(), Vec::new(), PgTelemetry::new());
         let mut fphases = StagePhases::default();
-        let fops =
-            fusion.evaluate_factors_phased_into(&exprs, &mut wf, &mut pf, &mut telf, &mut fphases);
+        let fops = fusion.evaluate_factor_rows_into(
+            exprs.iter().map(FactorExpr::row),
+            &mut wf,
+            &mut pf,
+            Some(&mut telf),
+            Some(&mut fphases),
+        );
         let plain = fusion.evaluate_factors(&exprs);
         assert_eq!(pf, plain.probs);
         assert_eq!(fops, plain.ops);
         assert!(fphases.active);
+        assert!(fphases.log_ns > 0, "the factor path times its log stage");
         fphases.reset();
         assert_eq!(fphases, StagePhases::default());
     }

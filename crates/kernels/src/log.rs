@@ -7,15 +7,22 @@
 
 use coopmc_fixed::{Fixed, QFormat, Rounding};
 
-/// Value returned for `log(x)` when `x <= 0`: the most negative value a
-/// Q15.16 log bus can carry. A zero factor makes the whole product zero;
-/// saturating the log keeps that behaviour through the exp kernel (which
-/// flushes such inputs to zero).
+/// Value returned for `log(x)` when `x <= 0` or `x` is NaN: the most
+/// negative value a Q15.16 log bus can carry. A zero factor makes the whole
+/// product zero; saturating the log keeps that behaviour through the exp
+/// kernel (which flushes such inputs to zero).
 pub const LOG_ZERO: f64 = -32768.0;
 
 /// A natural-logarithm kernel.
 pub trait LogKernel {
-    /// Evaluate `ln(x)`. Implementations saturate `x <= 0` to [`LOG_ZERO`].
+    /// Evaluate `ln(x)`.
+    ///
+    /// Non-finite and non-positive inputs follow one contract across all
+    /// kernels: `x <= 0` (including `-0.0` and `-∞`) and NaN saturate to
+    /// [`LOG_ZERO`], so a NaN factor carries zero mass, as it does in
+    /// `FloatPipeline`. `+∞` returns the kernel's largest output: `+∞`
+    /// for [`FloatLog`], the output bus maximum for the fixed-point
+    /// kernels. Subnormal inputs are ordinary positive inputs.
     fn log(&self, x: f64) -> f64;
 
     /// Latency of one evaluation in cycles.
@@ -38,10 +45,10 @@ impl FloatLog {
 
 impl LogKernel for FloatLog {
     fn log(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            LOG_ZERO
-        } else {
+        if x > 0.0 {
             x.ln()
+        } else {
+            LOG_ZERO
         }
     }
 
@@ -115,9 +122,20 @@ impl LogKernel for FixedLog {
 /// mantissa's `ln` lives in a ROM of `size_lut` entries, each quantized to
 /// `bit_lut` fractional bits. The output is `e·ln2 + ROM[mantissa]` computed
 /// on the fixed-point accumulator bus.
+///
+/// In software the exponent and mantissa come straight from the `f64` bit
+/// fields: `e` is the unbiased exponent and `m ∈ [1, 2)` is the mantissa
+/// with the exponent forced to zero. The reference definition is
+/// `e = floor(log2 x)`, `m = x / 2^e`. The two agree except where libm's
+/// `log2` can round across an integer: for `|e| ≤ 1074` the result's ulp is
+/// at most 2⁻⁴², so only mantissas within 2⁻⁴⁰ of a power of two are at
+/// risk. Those inputs, together with subnormals and non-finite values,
+/// take the reference formula. The result is bit-identical to it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableLog {
     entries: Vec<f64>,
+    /// `entries.len()` as an `f64`, the mantissa-to-index scale.
+    size: f64,
     bit_lut: u32,
     out_fmt: QFormat,
 }
@@ -142,6 +160,7 @@ impl TableLog {
             .collect();
         let out_fmt = QFormat::new(15, bit_lut.min(46)).expect("valid log output format");
         Self {
+            size: size_lut as f64,
             entries,
             bit_lut,
             out_fmt,
@@ -164,17 +183,52 @@ impl TableLog {
     }
 }
 
-impl LogKernel for TableLog {
-    fn log(&self, x: f64) -> f64 {
-        if x <= 0.0 {
+/// Mantissa field of an `f64`.
+const MANTISSA_MASK: u64 = (1 << 52) - 1;
+
+/// Bit pattern of `1.0`: OR-ed with a mantissa field it gives `m ∈ [1, 2)`.
+const ONE_BITS: u64 = 0x3ff0_0000_0000_0000;
+
+/// Guard band, in mantissa ulps: 2⁻⁴⁰ of a power of two.
+const GUARD: u64 = 1 << 12;
+
+impl TableLog {
+    /// Reference path: subnormals, non-finite inputs and the guard band.
+    #[cold]
+    fn log_reference(&self, x: f64) -> f64 {
+        if x.is_nan() || x <= 0.0 {
             return LOG_ZERO;
         }
         let e = x.log2().floor();
-        let m = x / e.exp2(); // in [1, 2)
-        let idx = ((m - 1.0) * self.entries.len() as f64).floor() as usize;
+        let m = x / e.exp2();
+        self.rom_log(e, ((m - 1.0) * self.size).floor() as usize)
+    }
+
+    /// `e·ln2 + ROM[idx]`, requantized onto the output bus.
+    #[inline]
+    fn rom_log(&self, e: f64, idx: usize) -> f64 {
         let idx = idx.min(self.entries.len() - 1);
-        let val = e * std::f64::consts::LN_2 + self.entries[idx];
-        Fixed::from_f64(val, self.out_fmt, Rounding::Nearest).to_f64()
+        self.out_fmt
+            .requantize_nearest(e * std::f64::consts::LN_2 + self.entries[idx])
+    }
+}
+
+impl LogKernel for TableLog {
+    #[inline]
+    fn log(&self, x: f64) -> f64 {
+        let bits = x.to_bits();
+        // The sign bit is part of `biased`, so only positive normals pass
+        // the first test (biased exponent 1..=2046).
+        let biased = bits >> 52;
+        let frac = bits & MANTISSA_MASK;
+        if biased.wrapping_sub(1) < 2046 && frac.wrapping_sub(GUARD) <= (1 << 52) - 2 * GUARD {
+            let m = f64::from_bits(frac | ONE_BITS);
+            // The product lies in [0, size], so truncation is the floor.
+            let idx = ((m - 1.0) * self.size) as i64 as usize;
+            self.rom_log(biased as f64 - 1023.0, idx)
+        } else {
+            self.log_reference(x)
+        }
     }
 
     fn latency_cycles(&self) -> u64 {
@@ -246,6 +300,43 @@ mod tests {
             let back = ex.exp(lg.log(v));
             assert!((back - v).abs() < 0.03, "v={v} back={back}");
         }
+    }
+
+    #[test]
+    fn non_finite_and_extreme_inputs_follow_the_contract() {
+        let table = TableLog::new(64, 8);
+        let float = FloatLog::new();
+        let fixed = FixedLog::new(16);
+        let kernels: [&dyn LogKernel; 3] = [&table, &float, &fixed];
+        // NaN, -inf and both zeros carry zero mass in every kernel.
+        for x in [f64::NAN, f64::NEG_INFINITY, 0.0, -0.0, -1.0] {
+            for k in kernels {
+                assert_eq!(
+                    k.log(x).to_bits(),
+                    LOG_ZERO.to_bits(),
+                    "{} at {x}",
+                    k.name()
+                );
+            }
+        }
+        let pin = |k: &dyn LogKernel, x: f64, want: f64| {
+            assert_eq!(k.log(x).to_bits(), want.to_bits(), "{} at {x:e}", k.name());
+        };
+        // +inf saturates to the output bus maximum (Q15.8 for 64x8).
+        pin(&table, f64::INFINITY, 32767.99609375);
+        pin(&table, 5e-324, -744.44140625);
+        pin(&table, f64::MIN_POSITIVE, -708.39453125);
+        pin(&table, f64::MAX, 709.78125);
+        pin(&float, f64::INFINITY, f64::INFINITY);
+        for x in [5e-324, f64::MIN_POSITIVE, f64::MAX] {
+            pin(&float, x, x.ln());
+        }
+        // The fixed-point kernel quantizes its input first: inputs below
+        // the Q15.16 grid are zero, inputs above it saturate.
+        pin(&fixed, 5e-324, LOG_ZERO);
+        pin(&fixed, f64::MIN_POSITIVE, LOG_ZERO);
+        pin(&fixed, f64::INFINITY, 10.397201538085938);
+        pin(&fixed, f64::MAX, 10.397201538085938);
     }
 
     #[test]

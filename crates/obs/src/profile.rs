@@ -47,30 +47,34 @@ pub enum Kernel {
     Sweep = 0,
     /// Host-side score gather (`model.scores_into`) feeding the PG core.
     PgGather = 1,
+    /// PG stage 0: TableLog lookup of each linear-domain factor onto the
+    /// accumulator bus (LogFusion's log conversion; factor scores only).
+    PgLog = 2,
     /// PG stage 1: accumulator-bus arithmetic / requantization into the
     /// accumulator format (the normalization bus of the paper's PG core).
-    PgNormalize = 2,
+    PgNormalize = 3,
     /// PG stage 2: DyNorm max-shift (NormTree comparators).
-    PgDynorm = 3,
+    PgDynorm = 4,
     /// PG stage 3: TableExp lookup / exp evaluation.
-    PgExpBatch = 4,
+    PgExpBatch = 5,
     /// Sample-unit draws (tree walk), batched or scalar.
-    SdSampleRows = 5,
+    SdSampleRows = 6,
     /// Parameter-update commit (`model.update`).
-    PuUpdate = 6,
+    PuUpdate = 7,
     /// Worker-pool job dispatch (send side).
-    PoolDispatch = 7,
+    PoolDispatch = 8,
     /// Worker-pool ack barrier (join side).
-    PoolJoin = 8,
+    PoolJoin = 9,
 }
 
 /// Number of kernels in the vocabulary.
-pub const N_KERNELS: usize = 9;
+pub const N_KERNELS: usize = 10;
 
 /// All kernels, in discriminant order.
 pub const KERNELS: [Kernel; N_KERNELS] = [
     Kernel::Sweep,
     Kernel::PgGather,
+    Kernel::PgLog,
     Kernel::PgNormalize,
     Kernel::PgDynorm,
     Kernel::PgExpBatch,
@@ -86,6 +90,7 @@ impl Kernel {
         match self {
             Kernel::Sweep => "sweep",
             Kernel::PgGather => "pg.gather",
+            Kernel::PgLog => "pg.log",
             Kernel::PgNormalize => "pg.normalize",
             Kernel::PgDynorm => "pg.dynorm",
             Kernel::PgExpBatch => "pg.exp_batch",
@@ -100,7 +105,11 @@ impl Kernel {
     pub fn phase(self) -> &'static str {
         match self {
             Kernel::Sweep => "root",
-            Kernel::PgGather | Kernel::PgNormalize | Kernel::PgDynorm | Kernel::PgExpBatch => "pg",
+            Kernel::PgGather
+            | Kernel::PgLog
+            | Kernel::PgNormalize
+            | Kernel::PgDynorm
+            | Kernel::PgExpBatch => "pg",
             Kernel::SdSampleRows => "sd",
             Kernel::PuUpdate => "pu",
             Kernel::PoolDispatch | Kernel::PoolJoin => "pool",
