@@ -1,13 +1,16 @@
 //! Regenerates **Table II**: runtime percentage breakdown (PG / SD / PU)
 //! of every workload, measured on this machine's software Gibbs engine with
 //! the vanilla float datapath and sequential sampler (the CPU baseline the
-//! paper profiles).
+//! paper profiles). The split is a view of the traced run's journal
+//! ([`breakdown_percent`]).
 
 use coopmc_bench::harness::{Cell, Report, Table};
 use coopmc_bench::seeds;
 use coopmc_core::engine::GibbsEngine;
 use coopmc_core::pipeline::PipelineConfig;
 use coopmc_models::workloads::{all_workloads, BuiltWorkload};
+use coopmc_obs::journal::breakdown_percent;
+use coopmc_obs::TraceRecorder;
 use coopmc_rng::SplitMix64;
 use coopmc_sampler::SequentialSampler;
 
@@ -27,21 +30,24 @@ fn main() {
         "paper PU%",
     ]);
     for spec in all_workloads() {
-        let mut engine = GibbsEngine::new(
+        let recorder = TraceRecorder::new();
+        let mut engine = GibbsEngine::with_recorder(
             PipelineConfig::float32().build(),
             SequentialSampler::new(),
             SplitMix64::new(seeds::CHAIN),
+            &recorder,
         );
         let iters = match spec.kind {
             coopmc_models::workloads::ModelKind::Bn => 2000,
             _ => 8,
         };
-        let stats = match spec.build(seeds::WORKLOAD) {
+        match spec.build(seeds::WORKLOAD) {
             BuiltWorkload::Mrf(mut app) => engine.run(&mut app.mrf, iters),
             BuiltWorkload::Bn(mut net) => engine.run(&mut net, iters),
             BuiltWorkload::Lda(mut lda) => engine.run(&mut lda, iters),
         };
-        let (pg, sd, pu) = stats.breakdown_percent();
+        let (pg, sd, pu) =
+            breakdown_percent(&recorder.sweeps()).expect("a traced run records phase time");
         let (ppg, psd, ppu) = spec.paper_breakdown;
         table.row(vec![
             Cell::text(spec.name),

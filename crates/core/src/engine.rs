@@ -1,6 +1,12 @@
-//! The generic Gibbs inference engine with per-step instrumentation.
+//! The generic Gibbs inference engine and its one instrumentation path.
+//!
+//! Both engines capture wall time only when their recorder is armed
+//! (`enabled() || prof_enabled()`), through a `Stopwatch` that reads no
+//! clock otherwise, and summarise each lane's captures in one `LaneTally`.
+//! A finished tally is the single source of every view: profiler kernel
+//! leaves and modeled cycles, and the journal's Table II phase split.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use coopmc_kernels::cost::{
     OpCounts, ADD_CYCLES, DIV_CYCLES, EXP_APPROX_CYCLES, LUT_CYCLES, MUL_CYCLES, TREE_LAYER_CYCLES,
@@ -24,8 +30,10 @@ use crate::pipeline::{PgOutput, ProbabilityPipeline};
 /// PU with this constant, and a cross-crate test pins the two together.
 pub const PU_CYCLES: u64 = 4;
 
-/// Cumulative statistics of an engine run.
-#[derive(Debug, Clone, Default)]
+/// Cumulative statistics of an engine run: deterministic counts only, so
+/// two runs of the same chain compare equal whatever their recorder. Wall
+/// time lives in the journal (see [`coopmc_obs::journal::breakdown_percent`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Completed full sweeps.
     pub iterations: u64,
@@ -36,12 +44,6 @@ pub struct RunStats {
     /// Draws that hit the all-zero-mass uniform fallback (the Fig. 2 flush
     /// regime).
     pub uniform_fallbacks: u64,
-    /// Wall time in Probability Generation.
-    pub pg_time: Duration,
-    /// Wall time in Sampling from Distribution.
-    pub sd_time: Duration,
-    /// Wall time in Parameter Update.
-    pub pu_time: Duration,
     /// Datapath operation tally across the run.
     pub ops: OpCounts,
     /// Total sampler cycles (hardware model accounting).
@@ -59,80 +61,159 @@ impl RunStats {
     pub fn simulated_hw_cycles(&self) -> u64 {
         self.pg_cycles + self.sd_cycles + PU_CYCLES * self.updates
     }
+}
 
-    /// Runtime percentages `(PG%, SD%, PU%)` — the Table II breakdown.
+/// A clock that is read only when armed: [`Stopwatch::lap`] returns the
+/// nanoseconds since the previous lap, or 0 (and reads nothing) when
+/// disarmed. Engines arm it with `recorder.enabled() ||
+/// recorder.prof_enabled()`, which is compile-time false for
+/// [`NoopRecorder`], so unrecorded sweeps carry no clock reads at all.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stopwatch(Option<Instant>);
+
+impl Stopwatch {
+    #[inline]
+    pub(crate) fn start(armed: bool) -> Self {
+        Stopwatch(armed.then(Instant::now))
+    }
+
+    #[inline]
+    pub(crate) fn lap(&mut self) -> u64 {
+        match &mut self.0 {
+            Some(last) => {
+                let now = Instant::now();
+                let ns = (now - *last).as_nanos() as u64;
+                *last = now;
+                ns
+            }
+            None => 0,
+        }
+    }
+}
+
+/// What one lane observed over one chunk (chromatic) or one sweep
+/// (sequential), filled from one set of [`Stopwatch`] captures while the
+/// recorder is armed. Lane tallies [`merge`](Self::merge) into a sweep
+/// tally, and [`emit_profile`](Self::emit_profile) /
+/// [`fill_sample`](Self::fill_sample) derive the profiler and journal
+/// views from the same numbers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LaneTally {
+    /// Time in `scores_into` (the PG gather), ns.
+    pub(crate) gather_ns: u64,
+    /// PG wall time — gather plus datapath, the journal's Table II
+    /// meaning — ns.
+    pub(crate) pg_ns: u64,
+    /// Fused-datapath stage splits (filled only while profiling, and
+    /// `active` only if the pipeline reports stages at all).
+    pub(crate) phases: StagePhases,
+    /// Sampling-from-Distribution wall time, ns.
+    pub(crate) sd_ns: u64,
+    /// Parameter Update wall time, ns.
+    pub(crate) pu_ns: u64,
+    /// Datapath op tally; its `sequential_cycles` is the modeled PG cost.
+    pub(crate) ops: OpCounts,
+    /// Modeled sampler cycles.
+    pub(crate) sd_cycles: u64,
+    /// Batched PG evaluations (`generate_batch_into` strides).
+    pub(crate) pg_batches: u64,
+    /// Rows evaluated through batched PG strides.
+    pub(crate) pg_batch_rows: u64,
+    /// DyNorm / TableExp telemetry.
+    pub(crate) telemetry: PgTelemetry,
+}
+
+impl LaneTally {
+    /// Book one score gather: host-side assembly counts toward PG.
+    #[inline]
+    pub(crate) fn gather(&mut self, ns: u64) {
+        self.gather_ns += ns;
+        self.pg_ns += ns;
+    }
+
+    /// Book one scalar PG evaluation and its draw.
+    #[inline]
+    pub(crate) fn draw(&mut self, pg_ns: u64, sd_ns: u64, pg: &PgOutput, sd_cycles: u64) {
+        self.pg_ns += pg_ns;
+        self.sd_ns += sd_ns;
+        self.ops.merge(&pg.ops);
+        self.sd_cycles += sd_cycles;
+        self.telemetry.merge(&pg.telemetry);
+    }
+
+    /// Fold another tally into this one.
+    pub(crate) fn merge(&mut self, other: &LaneTally) {
+        self.gather_ns += other.gather_ns;
+        self.pg_ns += other.pg_ns;
+        self.phases.merge(&other.phases);
+        self.sd_ns += other.sd_ns;
+        self.pu_ns += other.pu_ns;
+        self.ops.merge(&other.ops);
+        self.sd_cycles += other.sd_cycles;
+        self.pg_batches += other.pg_batches;
+        self.pg_batch_rows += other.pg_batch_rows;
+        self.telemetry.merge(&other.telemetry);
+    }
+
+    /// The profiler view: one leaf per kernel that recorded time, plus the
+    /// tally's modeled cycles, on `lane`, with `updates` PU commits priced
+    /// at [`PU_CYCLES`].
     ///
-    /// # Panics
-    ///
-    /// Panics if no time was recorded.
-    pub fn breakdown_percent(&self) -> (f64, f64, f64) {
-        let total =
-            self.pg_time.as_secs_f64() + self.sd_time.as_secs_f64() + self.pu_time.as_secs_f64();
-        assert!(total > 0.0, "no time recorded");
-        (
-            100.0 * self.pg_time.as_secs_f64() / total,
-            100.0 * self.sd_time.as_secs_f64() / total,
-            100.0 * self.pu_time.as_secs_f64() / total,
-        )
+    /// The cycle split mirrors how the fused PG datapath spends its op
+    /// tally: TableLog lookups (`log_lut`) land in `pg.log`, accumulator
+    /// add/mul/div in `pg.normalize`, NormTree comparators in `pg.dynorm`,
+    /// the remaining (TableExp) lookups and approximation-ALU calls in
+    /// `pg.exp_batch` — together exactly [`OpCounts::sequential_cycles`],
+    /// so the ledger's modeled total matches the journal's `pg_cycles`.
+    pub(crate) fn emit_profile<Rec: Recorder>(&self, rec: &Rec, lane: usize, updates: u64) {
+        let p = &self.phases;
+        for (kernel, ns) in [
+            (Kernel::PgGather, self.gather_ns),
+            (Kernel::PgLog, p.log_ns),
+            (Kernel::PgNormalize, p.normalize_ns),
+            (Kernel::PgDynorm, p.dynorm_ns),
+            (Kernel::PgExpBatch, p.exp_ns),
+            (Kernel::SdSampleRows, self.sd_ns),
+            (Kernel::PuUpdate, self.pu_ns),
+        ] {
+            if ns > 0 {
+                rec.prof_leaf(lane, kernel, ns);
+            }
+        }
+        let ops = &self.ops;
+        for (kernel, cycles) in [
+            (Kernel::PgLog, ops.log_lut * LUT_CYCLES),
+            (
+                Kernel::PgNormalize,
+                ops.add * ADD_CYCLES + ops.mul * MUL_CYCLES + ops.div * DIV_CYCLES,
+            ),
+            (Kernel::PgDynorm, ops.cmp * TREE_LAYER_CYCLES),
+            (
+                Kernel::PgExpBatch,
+                (ops.lut - ops.log_lut) * LUT_CYCLES + ops.approx * EXP_APPROX_CYCLES,
+            ),
+            (Kernel::SdSampleRows, self.sd_cycles),
+            (Kernel::PuUpdate, PU_CYCLES * updates),
+        ] {
+            rec.prof_cycles(lane, kernel, cycles);
+        }
     }
-}
 
-/// Elementwise difference of two op tallies (`after` must dominate).
-pub(crate) fn delta_ops(after: &OpCounts, before: &OpCounts) -> OpCounts {
-    OpCounts {
-        add: after.add - before.add,
-        mul: after.mul - before.mul,
-        div: after.div - before.div,
-        lut: after.lut - before.lut,
-        log_lut: after.log_lut - before.log_lut,
-        approx: after.approx - before.approx,
-        cmp: after.cmp - before.cmp,
+    /// The journal view: fill `sample`'s phase times, modeled cycles (PU
+    /// from `sample.updates`), batch counts and telemetry.
+    pub(crate) fn fill_sample(&self, sample: &mut SweepSample) {
+        sample.pg_ns = self.pg_ns;
+        sample.sd_ns = self.sd_ns;
+        sample.pu_ns = self.pu_ns;
+        sample.pg_cycles = self.ops.sequential_cycles();
+        sample.sd_cycles = self.sd_cycles;
+        sample.pu_cycles = PU_CYCLES * sample.updates;
+        sample.pg_batches = self.pg_batches;
+        sample.pg_batch_rows = self.pg_batch_rows;
+        sample.norm_max = self.telemetry.norm_max;
+        sample.exp_in_min = self.telemetry.exp_in_min;
+        sample.exp_in_max = self.telemetry.exp_in_max;
     }
-}
-
-/// Attribute a sweep's modeled cycles to profiler kernels on `lane`.
-///
-/// The split mirrors how the fused PG datapath spends its op tally:
-/// TableLog lookups (`log_lut`) land in `pg.log`, accumulator add/mul/div
-/// in `pg.normalize`, NormTree comparators in `pg.dynorm`, the remaining
-/// (TableExp) lookups and approximation-ALU calls in `pg.exp_batch` —
-/// together exactly [`OpCounts::sequential_cycles`], so the
-/// ledger's modeled total matches the journal's `pg_cycles`. SD is the
-/// sampler's own latency tally and PU is [`PU_CYCLES`] per committed update,
-/// matching [`RunStats::simulated_hw_cycles`].
-pub(crate) fn emit_kernel_cycles<Rec: Recorder>(
-    rec: &Rec,
-    lane: usize,
-    ops: &OpCounts,
-    sd_cycles: u64,
-    updates: u64,
-) {
-    rec.prof_cycles(lane, Kernel::PgLog, ops.log_lut * LUT_CYCLES);
-    rec.prof_cycles(
-        lane,
-        Kernel::PgNormalize,
-        ops.add * ADD_CYCLES + ops.mul * MUL_CYCLES + ops.div * DIV_CYCLES,
-    );
-    rec.prof_cycles(lane, Kernel::PgDynorm, ops.cmp * TREE_LAYER_CYCLES);
-    rec.prof_cycles(
-        lane,
-        Kernel::PgExpBatch,
-        (ops.lut - ops.log_lut) * LUT_CYCLES + ops.approx * EXP_APPROX_CYCLES,
-    );
-    rec.prof_cycles(lane, Kernel::SdSampleRows, sd_cycles);
-    rec.prof_cycles(lane, Kernel::PuUpdate, PU_CYCLES * updates);
-}
-
-/// Emit a fused datapath's stage times as kernel leaves on `lane`. The
-/// `pg.log` leaf appears only once the log stage has run (factor scores),
-/// so log-domain workloads keep the vocabulary they always had.
-pub(crate) fn emit_phase_leaves<Rec: Recorder>(rec: &Rec, lane: usize, phases: &StagePhases) {
-    if phases.log_ns > 0 {
-        rec.prof_leaf(lane, Kernel::PgLog, phases.log_ns);
-    }
-    rec.prof_leaf(lane, Kernel::PgNormalize, phases.normalize_ns);
-    rec.prof_leaf(lane, Kernel::PgDynorm, phases.dynorm_ns);
-    rec.prof_leaf(lane, Kernel::PgExpBatch, phases.exp_ns);
 }
 
 /// Drives a [`GibbsModel`] through PG → SD → PU sweeps.
@@ -142,11 +223,13 @@ pub(crate) fn emit_phase_leaves<Rec: Recorder>(rec: &Rec, lane: usize, phases: &
 /// count, a steady-state sweep performs **zero heap allocations**.
 ///
 /// The engine is generic over a [`Recorder`]; the default [`NoopRecorder`]
-/// is statically dispatched into nothing, so the counting-allocator test in
-/// `tests/alloc_free.rs` proves instrumented-but-disabled sweeps keep the
-/// zero-allocation guarantee. Construct with
-/// [`GibbsEngine::with_recorder`] (typically over `&TraceRecorder`, so the
-/// caller keeps ownership for export) to emit one journal record per sweep.
+/// is statically dispatched into nothing — no clock reads, no tally — so
+/// the counting-allocator test in `tests/alloc_free.rs` proves
+/// instrumented-but-disabled sweeps keep the zero-allocation guarantee.
+/// Construct with [`GibbsEngine::with_recorder`] (typically over
+/// `&TraceRecorder`, so the caller keeps ownership for export) to emit one
+/// journal record — and, when profiling, one set of lane-0 kernel leaves —
+/// per sweep.
 #[derive(Debug, Clone)]
 pub struct GibbsEngine<P, S, R, Rec = NoopRecorder> {
     pipeline: P,
@@ -158,8 +241,8 @@ pub struct GibbsEngine<P, S, R, Rec = NoopRecorder> {
     /// 1-based journal iteration, monotone for the engine's lifetime (so
     /// repeated `run` calls on one engine keep a valid journal).
     journal_iteration: u64,
-    /// Per-sweep PG telemetry aggregate (recording only).
-    sweep_telemetry: PgTelemetry,
+    /// The current sweep's lane-0 tally (armed recorders only).
+    tally: LaneTally,
     scores: Vec<LabelScore>,
     pg: PgOutput,
     sd_scratch: SampleScratch,
@@ -183,7 +266,7 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P,
             recorder,
             chain: 0,
             journal_iteration: 0,
-            sweep_telemetry: PgTelemetry::new(),
+            tally: LaneTally::default(),
             scores: Vec::new(),
             pg: PgOutput::new(),
             sd_scratch: SampleScratch::new(),
@@ -212,119 +295,81 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P,
         self.journal_iteration
     }
 
-    /// Resample a single variable; returns its new label, or `None` if the
-    /// variable is clamped.
-    pub fn step(
-        &mut self,
-        model: &mut dyn GibbsModel,
-        var: usize,
-        stats: &mut RunStats,
-    ) -> Option<usize> {
-        if model.is_clamped(var) {
-            return None;
-        }
+    /// Resample a single unclamped variable.
+    fn step(&mut self, model: &mut dyn GibbsModel, var: usize, stats: &mut RunStats) {
         let old_label = model.label(var);
         let prof = self.recorder.prof_enabled();
-        let mut phases = StagePhases::default();
-        let t0 = Instant::now();
+        let armed = self.recorder.enabled() || prof;
+        let mut clock = Stopwatch::start(armed);
         model.begin_resample(var);
         model.scores_into(var, &mut self.scores);
-        let tg = Instant::now();
+        let gather_ns = clock.lap();
         if prof {
-            self.pipeline
-                .generate_into_profiled(&self.scores, &mut self.pg, &mut phases);
+            self.pipeline.generate_into_profiled(
+                &self.scores,
+                &mut self.pg,
+                &mut self.tally.phases,
+            );
         } else {
             self.pipeline.generate_into(&self.scores, &mut self.pg);
         }
-        let t1 = Instant::now();
+        let pg_ns = clock.lap();
         let sample = self
             .sampler
             .sample_into(&self.pg.probs, &mut self.rng, &mut self.sd_scratch);
-        let t2 = Instant::now();
+        let sd_ns = clock.lap();
         model.update(var, sample.label);
-        let t3 = Instant::now();
-        if prof {
-            // Sequential engine: everything runs on lane 0, the coordinator.
-            self.recorder
-                .prof_leaf(0, Kernel::PgGather, (tg - t0).as_nanos() as u64);
-            if phases.active {
-                emit_phase_leaves(&self.recorder, 0, &phases);
-            }
-            self.recorder
-                .prof_leaf(0, Kernel::SdSampleRows, (t2 - t1).as_nanos() as u64);
-            self.recorder
-                .prof_leaf(0, Kernel::PuUpdate, (t3 - t2).as_nanos() as u64);
+        if armed {
+            self.tally.pu_ns += clock.lap();
+            self.tally.gather(gather_ns);
+            self.tally.draw(pg_ns, sd_ns, &self.pg, sample.cycles);
         }
-
-        stats.pg_time += t1 - t0;
-        stats.sd_time += t2 - t1;
-        stats.pu_time += t3 - t2;
         stats.pg_cycles += self.pg.ops.sequential_cycles();
         stats.ops.merge(&self.pg.ops);
         stats.sd_cycles += sample.cycles;
         stats.updates += 1;
         stats.flips += u64::from(sample.label != old_label);
         stats.uniform_fallbacks += u64::from(sample.fallback);
-        if self.recorder.enabled() {
-            self.sweep_telemetry.merge(&self.pg.telemetry);
-        }
-        Some(sample.label)
     }
 
     /// One full sweep over every variable.
     pub fn sweep(&mut self, model: &mut dyn GibbsModel, stats: &mut RunStats) {
-        // With the NoopRecorder this whole prologue/epilogue folds away:
+        // With the NoopRecorder every recorder branch below folds away:
         // `enabled()` and `prof_enabled()` are compile-time false.
+        let enabled = self.recorder.enabled();
         let prof = self.recorder.prof_enabled();
-        let (start_ns, before) = if self.recorder.enabled() || prof {
-            (self.recorder.now_ns(), stats.clone())
-        } else {
-            (0, RunStats::default())
-        };
+        let start_ns = if enabled { self.recorder.now_ns() } else { 0 };
+        let (updates0, flips0, fallbacks0) = (stats.updates, stats.flips, stats.uniform_fallbacks);
         if prof {
             self.recorder.prof_begin(0, Kernel::Sweep);
         }
         for var in 0..model.num_variables() {
-            self.step(model, var, stats);
-        }
-        if prof {
-            self.recorder.prof_end(0, Kernel::Sweep);
-            emit_kernel_cycles(
-                &self.recorder,
-                0,
-                &delta_ops(&stats.ops, &before.ops),
-                stats.sd_cycles - before.sd_cycles,
-                stats.updates - before.updates,
-            );
+            if !model.is_clamped(var) {
+                self.step(model, var, stats);
+            }
         }
         stats.iterations += 1;
         self.journal_iteration += 1;
-        if self.recorder.enabled() {
-            let updates = stats.updates - before.updates;
-            let sample = SweepSample {
+        let updates = stats.updates - updates0;
+        let tally = std::mem::take(&mut self.tally);
+        if prof {
+            // Sequential engine: everything runs on lane 0, the coordinator.
+            tally.emit_profile(&self.recorder, 0, updates);
+            self.recorder.prof_end(0, Kernel::Sweep);
+        }
+        if enabled {
+            let mut sample = SweepSample {
                 chain: self.chain,
                 iteration: self.journal_iteration,
                 start_ns,
                 wall_ns: self.recorder.now_ns().saturating_sub(start_ns),
                 updates,
-                flips: stats.flips - before.flips,
-                uniform_fallbacks: stats.uniform_fallbacks - before.uniform_fallbacks,
-                pg_ns: (stats.pg_time - before.pg_time).as_nanos() as u64,
-                sd_ns: (stats.sd_time - before.sd_time).as_nanos() as u64,
-                pu_ns: (stats.pu_time - before.pu_time).as_nanos() as u64,
-                pg_cycles: stats.pg_cycles - before.pg_cycles,
-                sd_cycles: stats.sd_cycles - before.sd_cycles,
-                pu_cycles: PU_CYCLES * updates,
-                pg_batches: 0,
-                pg_batch_rows: 0,
-                norm_max: self.sweep_telemetry.norm_max,
-                exp_in_min: self.sweep_telemetry.exp_in_min,
-                exp_in_max: self.sweep_telemetry.exp_in_max,
-                stat: None,
-                colors: Vec::new(),
+                flips: stats.flips - flips0,
+                uniform_fallbacks: stats.uniform_fallbacks - fallbacks0,
+                ..SweepSample::default()
             };
+            tally.fill_sample(&mut sample);
             self.recorder.end_sweep(&sample);
-            self.sweep_telemetry = PgTelemetry::new();
         }
     }
 
@@ -438,14 +483,18 @@ mod tests {
 
     #[test]
     fn breakdown_percentages_sum_to_100() {
+        use coopmc_obs::journal::breakdown_percent;
+        use coopmc_obs::TraceRecorder;
         let mut app = image_segmentation(10, 10, 4);
-        let mut engine = GibbsEngine::new(
+        let recorder = TraceRecorder::new();
+        let mut engine = GibbsEngine::with_recorder(
             PipelineConfig::coopmc(64, 8).build(),
             TreeSampler::new(),
             SplitMix64::new(3),
+            &recorder,
         );
-        let stats = engine.run(&mut app.mrf, 2);
-        let (pg, sd, pu) = stats.breakdown_percent();
+        engine.run(&mut app.mrf, 2);
+        let (pg, sd, pu) = breakdown_percent(&recorder.sweeps()).expect("armed run records time");
         assert!((pg + sd + pu - 100.0).abs() < 1e-9);
         assert!(pg > 0.0 && sd > 0.0);
     }

@@ -13,9 +13,11 @@
 //! 3. **PU** — the model commits the label.
 //!
 //! The [`engine::GibbsEngine`] drives any [`coopmc_models::GibbsModel`]
-//! through these steps with per-step instrumentation (the Table II runtime
-//! breakdown), and [`experiments`] holds the convergence-measurement
-//! helpers shared by the examples and the table/figure benches.
+//! through these steps; with an armed recorder it times them (the Table II
+//! runtime breakdown, read from the journal), and with the default
+//! `NoopRecorder` it reads no clock at all. [`experiments`] holds the
+//! convergence-measurement helpers shared by the examples and the
+//! table/figure benches.
 //!
 //! # Quickstart
 //!

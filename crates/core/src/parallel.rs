@@ -13,9 +13,6 @@
 //! so a 1-thread and an 8-thread run produce identical chains — a strong
 //! correctness handle that the tests exploit.
 
-use coopmc_kernels::cost::OpCounts;
-use coopmc_kernels::fusion::StagePhases;
-use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::GridMrf;
 use coopmc_models::{GibbsModel, LabelScore};
@@ -28,7 +25,7 @@ use coopmc_sampler::{SampleResult, SampleScratch, Sampler, TreeSampler};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::engine::{emit_kernel_cycles, emit_phase_leaves, PU_CYCLES};
+use crate::engine::{LaneTally, Stopwatch};
 use crate::pipeline::{PgBatch, PgOutput, ProbabilityPipeline};
 use crate::pool::WorkerPool;
 
@@ -68,38 +65,8 @@ struct SweepScratch {
     /// (one add per draw) so chain-health runs see fallbacks without a
     /// recorder.
     fallbacks: u64,
-    /// Per-chunk recording aggregates; only touched when a recorder is
-    /// enabled.
-    trace: ChunkTrace,
-}
-
-/// Per-chunk observation aggregate, drained into the sweep record after the
-/// class barrier (recording only). The `gather_ns`/stage-phase fields and
-/// the op tally feed the kernel profiler's per-lane leaves; they overlap
-/// `pg_ns` (which keeps the journal's Table II semantics: gather + datapath
-/// together) rather than re-partitioning it.
-#[derive(Debug, Default)]
-struct ChunkTrace {
-    pg_ns: u64,
-    sd_ns: u64,
-    pg_cycles: u64,
-    sd_cycles: u64,
-    pg_batches: u64,
-    pg_batch_rows: u64,
-    telemetry: PgTelemetry,
-    /// Time in `scores_into` (the PG gather), profiling only.
-    gather_ns: u64,
-    /// Fused-datapath stage splits, profiling only (`active` only if the
-    /// pipeline reports stages at all).
-    phases: StagePhases,
-    /// Datapath op tally, for per-lane modeled-cycle attribution.
-    ops: OpCounts,
-}
-
-impl ChunkTrace {
-    fn reset(&mut self) {
-        *self = ChunkTrace::default();
-    }
+    /// This slot's lane tally for the current chunk (armed recorders only).
+    tally: LaneTally,
 }
 
 /// Per-sweep chain-behaviour counts: what a convergence controller needs
@@ -112,20 +79,6 @@ pub struct SweepCounts {
     pub flips: u64,
     /// Draws that hit the all-zero-mass uniform fallback.
     pub uniform_fallbacks: u64,
-}
-
-/// Per-sweep recording aggregate for the chromatic engine (recording only).
-#[derive(Debug, Default)]
-struct SweepAcc {
-    pg_ns: u64,
-    sd_ns: u64,
-    pu_ns: u64,
-    pg_cycles: u64,
-    sd_cycles: u64,
-    pg_batches: u64,
-    pg_batch_rows: u64,
-    telemetry: PgTelemetry,
-    colors: Vec<ColorSample>,
 }
 
 /// Chromatic parallel Gibbs engine.
@@ -249,10 +202,10 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
     /// With `batch_rows > 1` the chunk is processed in batch strides: runs
     /// of same-width log-domain score rows are gathered and evaluated with
     /// one `generate_batch_into` + one `sample_rows_into` per stride.
-    /// Factor-domain (or empty) rows fall back to the per-variable path.
-    /// Draw order within `out` is irrelevant — commits happen after the
-    /// class barrier and each variable appears once — so grouping cannot
-    /// change the chain.
+    /// Factor-domain (or empty) rows, and every row at stride 1, take the
+    /// per-variable path. Draw order within `out` is irrelevant — commits
+    /// happen after the class barrier and each variable appears once — so
+    /// grouping cannot change the chain.
     fn resample_chunk<M: ChromaticModel>(
         &self,
         model: &M,
@@ -261,32 +214,12 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         scratch: &mut SweepScratch,
         lane: usize,
     ) {
-        let enabled = self.recorder.enabled();
         let prof = self.recorder.prof_enabled();
-        // `timing` drives the Instant captures and ChunkTrace aggregation;
-        // `enabled` alone decides whether the trace reaches the journal.
-        let timing = enabled || prof;
+        let armed = self.recorder.enabled() || prof;
         let sampler = TreeSampler::new();
         scratch.out.clear();
         scratch.fallbacks = 0;
-        scratch.trace.reset();
-        if self.batch_rows <= 1 {
-            for &var in vars {
-                if model.is_clamped(var) {
-                    continue;
-                }
-                let t0 = timing.then(std::time::Instant::now);
-                model.scores_into(var, &mut scratch.scores);
-                if prof {
-                    if let Some(t0) = t0 {
-                        scratch.trace.gather_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                }
-                self.draw_var_from_scores(var, iteration, &sampler, scratch, t0, prof);
-            }
-            self.emit_chunk_profile(scratch, lane, prof);
-            return;
-        }
+        scratch.tally = LaneTally::default();
         scratch.batch_scores.clear();
         scratch.batch_vars.clear();
         let mut width = 0usize;
@@ -294,94 +227,72 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
             if model.is_clamped(var) {
                 continue;
             }
-            let t0 = timing.then(std::time::Instant::now);
+            let mut clock = Stopwatch::start(armed);
             model.scores_into(var, &mut scratch.scores);
-            if prof {
-                if let Some(t0) = t0 {
-                    scratch.trace.gather_ns += t0.elapsed().as_nanos() as u64;
-                }
+            let gather_ns = clock.lap();
+            if armed {
+                scratch.tally.gather(gather_ns);
             }
-            let batchable = !scratch.scores.is_empty()
+            let batchable = self.batch_rows > 1
+                && !scratch.scores.is_empty()
                 && scratch
                     .scores
                     .iter()
                     .all(|s| matches!(s, LabelScore::LogDomain(_)));
             if !batchable {
-                self.draw_var_from_scores(var, iteration, &sampler, scratch, t0, prof);
+                self.draw_var_from_scores(var, iteration, &sampler, scratch, clock, prof);
                 continue;
             }
             let w = scratch.scores.len();
             if !scratch.batch_vars.is_empty() && w != width {
-                self.flush_batch(width, iteration, &sampler, scratch, timing, prof);
+                self.flush_batch(width, iteration, &sampler, scratch, armed, prof);
             }
             width = w;
             scratch.batch_scores.extend(scratch.scores.iter().cloned());
             scratch.batch_vars.push(var);
-            if let Some(t0) = t0 {
-                scratch.trace.pg_ns += t0.elapsed().as_nanos() as u64;
-            }
             if scratch.batch_vars.len() == self.batch_rows {
-                self.flush_batch(width, iteration, &sampler, scratch, timing, prof);
+                self.flush_batch(width, iteration, &sampler, scratch, armed, prof);
             }
         }
-        self.flush_batch(width, iteration, &sampler, scratch, timing, prof);
-        self.emit_chunk_profile(scratch, lane, prof);
-    }
-
-    /// Flush one finished chunk's trace to the profiler as per-lane kernel
-    /// leaves plus the lane's modeled-cycle attribution. One leaf per kernel
-    /// per *chunk* (not per variable) keeps ring traffic proportional to
-    /// jobs, like the pool's own accounting.
-    fn emit_chunk_profile(&self, scratch: &SweepScratch, lane: usize, prof: bool) {
-        if !prof {
-            return;
+        self.flush_batch(width, iteration, &sampler, scratch, armed, prof);
+        if prof {
+            // PU commits happen on the coordinator after the class barrier,
+            // so a chunk books no update cycles (the sweep adds them there).
+            // One leaf per kernel per *chunk* keeps ring traffic
+            // proportional to jobs, like the pool's own accounting.
+            scratch.tally.emit_profile(&self.recorder, lane, 0);
         }
-        let tr = &scratch.trace;
-        let rec = &self.recorder;
-        rec.prof_leaf(lane, Kernel::PgGather, tr.gather_ns);
-        if tr.phases.active {
-            emit_phase_leaves(rec, lane, &tr.phases);
-        }
-        rec.prof_leaf(lane, Kernel::SdSampleRows, tr.sd_ns);
-        // PU commits happen on the coordinator after the class barrier, so
-        // a chunk attributes zero update cycles (the sweep adds them there).
-        emit_kernel_cycles(rec, lane, &tr.ops, tr.sd_cycles, 0);
     }
 
     /// Scalar PG + SD for one variable whose scores are already gathered in
-    /// `scratch.scores`. `t0` is the phase timer started before the gather.
+    /// `scratch.scores`; `clock` last lapped at the end of the gather.
     fn draw_var_from_scores(
         &self,
         var: usize,
         iteration: u64,
         sampler: &TreeSampler,
         scratch: &mut SweepScratch,
-        t0: Option<std::time::Instant>,
+        mut clock: Stopwatch,
         prof: bool,
     ) {
         if prof {
             self.pipeline.generate_into_profiled(
                 &scratch.scores,
                 &mut scratch.pg,
-                &mut scratch.trace.phases,
+                &mut scratch.tally.phases,
             );
         } else {
             self.pipeline
                 .generate_into(&scratch.scores, &mut scratch.pg);
         }
-        let t1 = t0.map(|_| std::time::Instant::now());
+        let pg_ns = clock.lap();
         let mut rng = draw_rng(self.seed, iteration, var);
         let sample = sampler.sample_into(&scratch.pg.probs, &mut rng, &mut scratch.sd);
+        let sd_ns = clock.lap();
         scratch.out.push((var, sample.label));
         scratch.fallbacks += u64::from(sample.fallback);
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            let tr = &mut scratch.trace;
-            tr.pg_ns += (t1 - t0).as_nanos() as u64;
-            tr.sd_ns += t1.elapsed().as_nanos() as u64;
-            tr.pg_cycles += scratch.pg.ops.sequential_cycles();
-            tr.sd_cycles += sample.cycles;
-            tr.telemetry.merge(&scratch.pg.telemetry);
-            tr.ops.merge(&scratch.pg.ops);
+        if self.recorder.enabled() || prof {
+            scratch.tally.draw(pg_ns, sd_ns, &scratch.pg, sample.cycles);
         }
     }
 
@@ -395,25 +306,25 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         iteration: u64,
         sampler: &TreeSampler,
         scratch: &mut SweepScratch,
-        timing: bool,
+        armed: bool,
         prof: bool,
     ) {
         if scratch.batch_vars.is_empty() {
             return;
         }
-        let t0 = timing.then(std::time::Instant::now);
+        let mut clock = Stopwatch::start(armed);
         if prof {
             self.pipeline.generate_batch_into_profiled(
                 &scratch.batch_scores,
                 width,
                 &mut scratch.batch,
-                &mut scratch.trace.phases,
+                &mut scratch.tally.phases,
             );
         } else {
             self.pipeline
                 .generate_batch_into(&scratch.batch_scores, width, &mut scratch.batch);
         }
-        let t1 = timing.then(std::time::Instant::now);
+        let pg_ns = clock.lap();
         let seed = self.seed;
         let row_vars = &scratch.batch_vars;
         sampler.sample_rows_into(
@@ -423,22 +334,21 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
             &mut scratch.draws,
             &mut scratch.sd,
         );
+        let sd_ns = clock.lap();
         for (&var, sample) in scratch.batch_vars.iter().zip(&scratch.draws) {
             scratch.out.push((var, sample.label));
             scratch.fallbacks += u64::from(sample.fallback);
         }
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            let rows = scratch.batch_vars.len() as u64;
-            let tr = &mut scratch.trace;
-            tr.pg_ns += (t1 - t0).as_nanos() as u64;
-            tr.sd_ns += t1.elapsed().as_nanos() as u64;
-            tr.telemetry.merge(&scratch.batch.telemetry);
-            tr.pg_batches += 1;
-            tr.pg_batch_rows += rows;
+        if armed {
+            let tally = &mut scratch.tally;
+            tally.pg_ns += pg_ns;
+            tally.sd_ns += sd_ns;
+            tally.telemetry.merge(&scratch.batch.telemetry);
+            tally.pg_batches += 1;
+            tally.pg_batch_rows += scratch.batch_vars.len() as u64;
             for (ops, sample) in scratch.batch.ops.iter().zip(&scratch.draws) {
-                tr.pg_cycles += ops.sequential_cycles();
-                tr.sd_cycles += sample.cycles;
-                tr.ops.merge(ops);
+                tally.ops.merge(ops);
+                tally.sd_cycles += sample.cycles;
             }
         }
         scratch.batch_scores.clear();
@@ -469,17 +379,6 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         }
     }
 
-    /// Drain one slot's chunk trace into the sweep aggregate.
-    fn drain_trace(acc: &mut SweepAcc, trace: &ChunkTrace) {
-        acc.pg_cycles += trace.pg_cycles;
-        acc.sd_cycles += trace.sd_cycles;
-        acc.pg_ns += trace.pg_ns;
-        acc.sd_ns += trace.sd_ns;
-        acc.pg_batches += trace.pg_batches;
-        acc.pg_batch_rows += trace.pg_batch_rows;
-        acc.telemetry.merge(&trace.telemetry);
-    }
-
     /// Sweep with precomputed color classes (lets `run` compute them once).
     ///
     /// `counts`, when supplied, receives the sweep's update/flip/fallback
@@ -494,13 +393,18 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
     ) -> usize {
         let enabled = self.recorder.enabled();
         let prof = self.recorder.prof_enabled();
+        let armed = enabled || prof;
         // Profiling needs the update tally for PU cycle attribution even
         // when the journal recorder is off; counting is observation-only
         // (extra `model.label` reads), never chain-visible.
-        let counting = enabled || prof || counts.is_some();
+        let counting = armed || counts.is_some();
         let mut local = SweepCounts::default();
         let sweep_start = if enabled { self.recorder.now_ns() } else { 0 };
-        let mut rec = enabled.then(SweepAcc::default);
+        // Lane 0's own work (the PU commits), and — for the journal — every
+        // lane's tally merged.
+        let mut coordinator = LaneTally::default();
+        let mut merged = LaneTally::default();
+        let mut colors = Vec::new();
         let mut updated = 0usize;
         if prof {
             self.recorder.prof_begin(0, Kernel::Sweep);
@@ -547,7 +451,7 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
             // Commit after the class barrier. Commit order is irrelevant to
             // the chain (each var appears once), so chunking cannot change
             // the result.
-            let t_commit = (enabled || prof).then(std::time::Instant::now);
+            let mut clock = Stopwatch::start(armed);
             for slot in &self.scratch[..n_slots] {
                 let scratch = slot.lock().unwrap();
                 updated += scratch.out.len();
@@ -555,16 +459,12 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
                 if counting {
                     local.uniform_fallbacks += scratch.fallbacks;
                 }
-                if let Some(acc) = rec.as_mut() {
-                    Self::drain_trace(acc, &scratch.trace);
+                if enabled {
+                    merged.merge(&scratch.tally);
                 }
             }
-            let commit_ns = t_commit.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            if prof {
-                self.recorder.prof_leaf(0, Kernel::PuUpdate, commit_ns);
-            }
-            if let Some(acc) = rec.as_mut() {
-                acc.pu_ns += commit_ns;
+            coordinator.pu_ns += clock.lap();
+            if enabled {
                 // Worker busy time inside the barrier; the inline path runs
                 // on the calling thread, so busy == wall by construction.
                 let busy_ns = if inline {
@@ -578,7 +478,7 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
                 } else {
                     (busy_ns as f64 / capacity as f64).clamp(0.0, 1.0)
                 };
-                acc.colors.push(ColorSample {
+                colors.push(ColorSample {
                     class: class_idx as u64,
                     wall_ns: barrier_ns,
                     busy_ns,
@@ -594,14 +494,13 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
             }
         }
         if prof {
-            // PU runs on the coordinator: attribute its modeled cycles to
-            // lane 0, then close the sweep span.
-            self.recorder
-                .prof_cycles(0, Kernel::PuUpdate, PU_CYCLES * local.updates);
+            // PU runs on the coordinator: its leaf and modeled cycles land
+            // on lane 0, inside the sweep span.
+            coordinator.emit_profile(&self.recorder, 0, local.updates);
             self.recorder.prof_end(0, Kernel::Sweep);
         }
-        if let Some(acc) = rec {
-            for c in &acc.colors {
+        if enabled {
+            for c in &colors {
                 metrics::gauge_with(
                     "coopmc_pool_color_utilization",
                     &[("color", &c.class.to_string())],
@@ -615,7 +514,8 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
                 metrics::gauge_with("coopmc_pool_worker_jobs", &[("worker", &worker)])
                     .set(w.jobs as f64);
             }
-            let sample = SweepSample {
+            merged.merge(&coordinator);
+            let mut sample = SweepSample {
                 chain: self.chain,
                 iteration: iteration + 1,
                 start_ns: sweep_start,
@@ -623,20 +523,10 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
                 updates: local.updates,
                 flips: local.flips,
                 uniform_fallbacks: local.uniform_fallbacks,
-                pg_ns: acc.pg_ns,
-                sd_ns: acc.sd_ns,
-                pu_ns: acc.pu_ns,
-                pg_cycles: acc.pg_cycles,
-                sd_cycles: acc.sd_cycles,
-                pu_cycles: PU_CYCLES * local.updates,
-                pg_batches: acc.pg_batches,
-                pg_batch_rows: acc.pg_batch_rows,
-                norm_max: acc.telemetry.norm_max,
-                exp_in_min: acc.telemetry.exp_in_min,
-                exp_in_max: acc.telemetry.exp_in_max,
-                stat: None,
-                colors: acc.colors,
+                colors,
+                ..SweepSample::default()
             };
+            merged.fill_sample(&mut sample);
             self.recorder.end_sweep(&sample);
         }
         if let Some(c) = counts {
@@ -773,7 +663,7 @@ pub fn hogwild_mrf_sweeps<P: ProbabilityPipeline + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::GibbsEngine;
+    use crate::engine::{GibbsEngine, PU_CYCLES};
     use crate::pipeline::{CoopMcPipeline, FloatPipeline};
     use coopmc_models::bn::earthquake;
     use coopmc_models::mrf::image_segmentation;

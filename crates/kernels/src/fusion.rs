@@ -52,6 +52,15 @@ impl StagePhases {
     pub fn reset(&mut self) {
         *self = StagePhases::default();
     }
+
+    /// Fold another stage split into this one.
+    pub fn merge(&mut self, other: &StagePhases) {
+        self.active |= other.active;
+        self.log_ns += other.log_ns;
+        self.normalize_ns += other.normalize_ns;
+        self.dynorm_ns += other.dynorm_ns;
+        self.exp_ns += other.exp_ns;
+    }
 }
 
 /// Charge the time since `since` to one stage of `phases` and restart the

@@ -85,6 +85,24 @@ pub struct SweepSample {
     pub colors: Vec<ColorSample>,
 }
 
+/// Runtime percentages `(PG%, SD%, PU%)` of the summed phase wall times of
+/// `sweeps` — the paper's Table II breakdown, derived from the journal.
+/// `None` when no phase time was recorded (an empty slice, or samples from
+/// an unarmed recorder).
+pub fn breakdown_percent(sweeps: &[SweepSample]) -> Option<(f64, f64, f64)> {
+    let (pg, sd, pu) = sweeps.iter().fold((0u64, 0u64, 0u64), |(pg, sd, pu), s| {
+        (pg + s.pg_ns, sd + s.sd_ns, pu + s.pu_ns)
+    });
+    let total = (pg + sd + pu) as f64;
+    (total > 0.0).then(|| {
+        (
+            100.0 * pg as f64 / total,
+            100.0 * sd as f64 / total,
+            100.0 * pu as f64 / total,
+        )
+    })
+}
+
 /// Render one journal line (no trailing newline). `ess` / `rhat` are the
 /// running diagnostics computed over the chain so far; pass `None` while
 /// there are too few samples.
@@ -557,6 +575,19 @@ mod tests {
                 utilization: 0.888,
             }],
         }
+    }
+
+    #[test]
+    fn breakdown_percent_is_none_without_time_and_exact_with_it() {
+        assert_eq!(breakdown_percent(&[]), None);
+        assert_eq!(breakdown_percent(&[SweepSample::default()]), None);
+        let mut second = sample(2);
+        (second.pg_ns, second.sd_ns, second.pu_ns) = (300, 100, 700);
+        // Σ PG/SD/PU = 800/400/800 ns of 2000.
+        assert_eq!(
+            breakdown_percent(&[sample(1), second]),
+            Some((40.0, 20.0, 40.0))
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `coopmc-obs`: zero-overhead tracing, phase-level metrics and the
 //! per-chain run journal for the CoopMC reproduction.
 //!
-//! Three layers, all `std`-only (the build container is offline):
+//! Four layers, all `std`-only (no external crates):
 //!
 //! 1. **Metrics** ([`metrics`]) — relaxed-atomic counters, gauges and
 //!    histograms behind a process-global registry with Prometheus-style
@@ -15,8 +15,8 @@
 //!    (`coopmc-journal/1`), carrying the Table II phase split in wall time
 //!    and modeled cycles, DyNorm/TableExp telemetry, chain-quality
 //!    statistics and worker-pool utilization, plus a Chrome-trace export
-//!    of spans for `chrome://tracing`.
-//!
+//!    of spans for `chrome://tracing`. The Table II runtime breakdown is
+//!    a view of it ([`journal::breakdown_percent`]).
 //! 4. **Profiling** ([`profile`]) — a hierarchical kernel-span profiler
 //!    ([`SpanProfiler`]) behind the same static-dispatch `prof_*` hooks,
 //!    with fixed-capacity per-worker span rings, per-`(lane, kernel)`

@@ -500,10 +500,6 @@ impl<R: Recorder> Recorder for Profiled<'_, R> {
         self.inner.span(name, category, start_ns, dur_ns, tid);
     }
 
-    fn event(&self, name: &str) {
-        self.inner.event(name);
-    }
-
     fn health(&self, record: &HealthRecord) {
         self.inner.health(record);
     }

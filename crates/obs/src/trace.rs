@@ -1,4 +1,4 @@
-//! The span/event tracing layer: a statically dispatched [`Recorder`]
+//! The span tracing layer: a statically dispatched [`Recorder`]
 //! abstraction whose disabled form compiles to nothing.
 //!
 //! The Gibbs engines are generic over `Rec: Recorder`. With the default
@@ -58,12 +58,6 @@ pub trait Recorder: Sync {
     #[inline]
     fn span(&self, name: &str, category: &str, start_ns: u64, dur_ns: u64, tid: u64) {
         let _ = (name, category, start_ns, dur_ns, tid);
-    }
-
-    /// Record an instantaneous event.
-    #[inline]
-    fn event(&self, name: &str) {
-        let _ = name;
     }
 
     /// Record a refreshed chain-health snapshot (a `coopmc-health/1`
@@ -140,11 +134,6 @@ impl<T: Recorder + ?Sized> Recorder for &T {
     }
 
     #[inline]
-    fn event(&self, name: &str) {
-        (**self).event(name)
-    }
-
-    #[inline]
     fn health(&self, record: &HealthRecord) {
         (**self).health(record)
     }
@@ -191,7 +180,6 @@ struct TraceInner {
     spans: Vec<Span>,
     /// `(chain, iteration, stat)` observations, joined to sweeps on export.
     stats: Vec<(u64, u64, f64)>,
-    events: Vec<(u64, String)>,
     /// Chain-health snapshots, interleaved into the journal on export.
     health: Vec<HealthRecord>,
 }
@@ -381,13 +369,6 @@ impl TraceRecorder {
                 sp.tid,
             ));
         }
-        for (ts, name) in &inner.events {
-            events.push(format!(
-                "{{\"name\":{},\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":0,\"s\":\"g\"}}",
-                quoted(name),
-                *ts as f64 / 1_000.0
-            ));
-        }
         format!(
             "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}\n",
             events.join(",")
@@ -464,15 +445,6 @@ impl Recorder for TraceRecorder {
         });
     }
 
-    fn event(&self, name: &str) {
-        let ts = self.now_ns();
-        self.inner
-            .lock()
-            .unwrap()
-            .events
-            .push((ts, name.to_owned()));
-    }
-
     fn health(&self, record: &HealthRecord) {
         self.inner.lock().unwrap().health.push(*record);
     }
@@ -534,12 +506,11 @@ mod tests {
         let rec = TraceRecorder::new();
         push_sweep(&rec, 1, 1.0);
         rec.span("color 0", "pool", 100, 50, 3);
-        rec.event("checkpoint");
         let doc = rec.chrome_trace_json();
         let v = crate::json::parse(&doc).expect("trace must parse");
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
-        // 1 sweep + 3 phases + 1 span + 1 instant event.
-        assert_eq!(events.len(), 6);
+        // 1 sweep + 3 phases + 1 span.
+        assert_eq!(events.len(), 5);
         let names: Vec<&str> = events
             .iter()
             .map(|e| e.get("name").unwrap().as_str().unwrap())

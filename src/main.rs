@@ -279,18 +279,19 @@ fn report_health(ctl: &EarlyStop, budget: u64) {
     );
 }
 
-/// Drive up to `sweeps` manual sweeps of a sequential engine, reporting the
-/// per-sweep statistic from `stat_fn` to `observer` (journal capture) and to
-/// `controller` (health / early stop). The manual loop exists because the
-/// interesting statistics (energy, joint probability, log-likelihood) live
-/// on the concrete model types, which `GibbsEngine::run_controlled`'s
-/// `&dyn GibbsModel` callback cannot see.
-fn drive_gibbs<P, S, R, Rec, M, F>(
+/// Drive up to `sweeps` manual sweeps of a sequential engine. `after_sweep`
+/// sees the model after every sweep; the per-sweep statistic from
+/// `stat_fn` is computed only when the engine's recorder journals it or
+/// `controller` (health / early stop) needs it. The manual loop exists
+/// because the interesting statistics (energy, joint probability,
+/// log-likelihood) live on the concrete model types, which
+/// `GibbsEngine::run_controlled`'s `&dyn GibbsModel` callback cannot see.
+fn drive_gibbs<P, S, R, Rec, M>(
     engine: &mut GibbsEngine<P, S, R, Rec>,
     model: &mut M,
     sweeps: u64,
-    observer: Option<&dyn Recorder>,
-    mut stat_fn: F,
+    mut after_sweep: impl FnMut(&M),
+    stat_fn: impl Fn(&M) -> f64,
     mut controller: Option<&mut EarlyStop<'_>>,
 ) where
     P: ProbabilityPipeline,
@@ -298,16 +299,20 @@ fn drive_gibbs<P, S, R, Rec, M, F>(
     R: HwRng,
     Rec: Recorder,
     M: GibbsModel,
-    F: FnMut(&M) -> f64,
 {
+    let journaling = engine.recorder().enabled();
     let mut stats = RunStats::default();
     for _ in 0..sweeps {
         let (u0, f0, fb0) = (stats.updates, stats.flips, stats.uniform_fallbacks);
         engine.sweep(model, &mut stats);
+        after_sweep(model);
+        if !journaling && controller.is_none() {
+            continue;
+        }
         let stat = stat_fn(model);
         let it = engine.journal_iteration();
-        if let Some(rec) = observer {
-            rec.observe_stat(0, it, stat);
+        if journaling {
+            engine.recorder().observe_stat(0, it, stat);
         }
         if let Some(ctl) = controller.as_deref_mut() {
             let decision = ctl.observe_sweep(
@@ -332,19 +337,17 @@ fn drive_gibbs<P, S, R, Rec, M, F>(
 /// feed), not model precision.
 const PROFILE_DIVERGENCE_TOLERANCE: f64 = 0.5;
 
-/// Execute the built workload with `rec` as the engines' recorder. Generic
-/// so one body serves the plain `&TraceRecorder` and both [`Profiled`]
-/// shapes (journal + profiler, profiler only).
+/// Execute the built workload with `rec` as the engines' recorder: the
+/// `NoopRecorder` when nothing is traced or profiled, else `&TraceRecorder`
+/// or one of the [`Profiled`] shapes (journal + profiler, profiler only).
+/// Each branch builds its engine once; the `NoopRecorder` engine is exactly
+/// the one `new` builds, so the chain does not depend on the choice.
 fn run_workload<Rec: Recorder + Copy>(
     args: &RunArgs,
     built: BuiltWorkload,
     rec: Rec,
     controller: Option<&mut EarlyStop<'_>>,
 ) -> Result<(), String> {
-    let tracing =
-        args.journal_out.is_some() || args.trace_out.is_some() || args.metrics_out.is_some();
-    let observing = tracing || rec.prof_enabled();
-    let observer = observing.then_some(&rec as &dyn Recorder);
     match built {
         BuiltWorkload::Mrf(mut app) => {
             let e0 = app.mrf.energy();
@@ -357,32 +360,25 @@ fn run_workload<Rec: Recorder + Copy>(
                         )
                     }
                 };
-                let pipeline = CoopMcPipeline::new(size, bits);
-                match (observing, controller) {
-                    (true, Some(ctl)) => {
-                        ChromaticEngine::with_recorder(pipeline, args.threads, args.seed, rec)
-                            .run_controlled(&mut app.mrf, args.sweeps, |m| Some(m.energy()), ctl);
+                let engine = ChromaticEngine::with_recorder(
+                    CoopMcPipeline::new(size, bits),
+                    args.threads,
+                    args.seed,
+                    rec,
+                );
+                match controller {
+                    Some(ctl) => {
+                        engine.run_controlled(&mut app.mrf, args.sweeps, |m| Some(m.energy()), ctl);
                     }
-                    (true, None) => {
-                        ChromaticEngine::with_recorder(pipeline, args.threads, args.seed, rec)
-                            .run_observed(&mut app.mrf, args.sweeps, |it, m| {
+                    None => {
+                        engine.run_observed(&mut app.mrf, args.sweeps, |it, m| {
+                            if rec.enabled() {
                                 rec.observe_stat(0, it, m.energy());
-                            });
-                    }
-                    (false, Some(ctl)) => {
-                        ChromaticEngine::new(pipeline, args.threads, args.seed).run_controlled(
-                            &mut app.mrf,
-                            args.sweeps,
-                            |m| Some(m.energy()),
-                            ctl,
-                        );
-                    }
-                    (false, None) => {
-                        ChromaticEngine::new(pipeline, args.threads, args.seed)
-                            .run(&mut app.mrf, args.sweeps);
+                            }
+                        });
                     }
                 }
-            } else if observing || controller.is_some() {
+            } else {
                 let mut engine = GibbsEngine::with_recorder(
                     args.pipeline.build(),
                     TreeSampler::new(),
@@ -393,52 +389,29 @@ fn run_workload<Rec: Recorder + Copy>(
                     &mut engine,
                     &mut app.mrf,
                     args.sweeps,
-                    observer,
+                    |_| {},
                     |m| m.energy(),
                     controller,
                 );
-            } else {
-                let mut engine = GibbsEngine::new(
-                    args.pipeline.build(),
-                    TreeSampler::new(),
-                    SplitMix64::new(args.seed),
-                );
-                engine.run(&mut app.mrf, args.sweeps);
             }
             println!("energy: {e0:.1} -> {:.1}", app.mrf.energy());
         }
         BuiltWorkload::Bn(mut net) => {
             let mut counter = coopmc::models::bn::MarginalCounter::new(&net);
-            if observing || controller.is_some() {
-                let mut engine = GibbsEngine::with_recorder(
-                    args.pipeline.build(),
-                    build_sampler(&args.sampler),
-                    SplitMix64::new(args.seed),
-                    rec,
-                );
-                drive_gibbs(
-                    &mut engine,
-                    &mut net,
-                    args.sweeps,
-                    observer,
-                    |n| {
-                        counter.record(n);
-                        n.joint_prob().ln()
-                    },
-                    controller,
-                );
-            } else {
-                let mut engine = GibbsEngine::new(
-                    args.pipeline.build(),
-                    build_sampler(&args.sampler),
-                    SplitMix64::new(args.seed),
-                );
-                let mut stats = RunStats::default();
-                for _ in 0..args.sweeps {
-                    engine.sweep(&mut net, &mut stats);
-                    counter.record(&net);
-                }
-            }
+            let mut engine = GibbsEngine::with_recorder(
+                args.pipeline.build(),
+                build_sampler(&args.sampler),
+                SplitMix64::new(args.seed),
+                rec,
+            );
+            drive_gibbs(
+                &mut engine,
+                &mut net,
+                args.sweeps,
+                |n| counter.record(n),
+                |n| n.joint_prob().ln(),
+                controller,
+            );
             println!("{:<14} {:>10}", "node", "P(label 0)");
             for v in 0..net.num_variables() {
                 println!(
@@ -450,29 +423,20 @@ fn run_workload<Rec: Recorder + Copy>(
         }
         BuiltWorkload::Lda(mut lda) => {
             let ll0 = lda.log_likelihood();
-            if observing || controller.is_some() {
-                let mut engine = GibbsEngine::with_recorder(
-                    args.pipeline.build(),
-                    build_sampler(&args.sampler),
-                    SplitMix64::new(args.seed),
-                    rec,
-                );
-                drive_gibbs(
-                    &mut engine,
-                    &mut lda,
-                    args.sweeps,
-                    observer,
-                    |l| l.log_likelihood(),
-                    controller,
-                );
-            } else {
-                let mut engine = GibbsEngine::new(
-                    args.pipeline.build(),
-                    build_sampler(&args.sampler),
-                    SplitMix64::new(args.seed),
-                );
-                engine.run(&mut lda, args.sweeps);
-            }
+            let mut engine = GibbsEngine::with_recorder(
+                args.pipeline.build(),
+                build_sampler(&args.sampler),
+                SplitMix64::new(args.seed),
+                rec,
+            );
+            drive_gibbs(
+                &mut engine,
+                &mut lda,
+                args.sweeps,
+                |_| {},
+                |l| l.log_likelihood(),
+                controller,
+            );
             println!("log-likelihood: {ll0:.0} -> {:.0}", lda.log_likelihood());
         }
     }
@@ -510,7 +474,8 @@ fn cmd_run(args: RunArgs) -> Result<(), String> {
             Profiled::new(NoopRecorder, p),
             controller.as_mut(),
         )?,
-        (None, _) => run_workload(&args, built, &recorder, controller.as_mut())?,
+        (None, true) => run_workload(&args, built, &recorder, controller.as_mut())?,
+        (None, false) => run_workload(&args, built, NoopRecorder, controller.as_mut())?,
     }
     if let Some(ctl) = &controller {
         report_health(ctl, args.sweeps);

@@ -1,17 +1,18 @@
 //! End-to-end observability checks: an enabled recorder yields a valid,
-//! reconcilable run journal and a loadable Chrome trace, and recording is
+//! reconcilable run journal and a loadable Chrome trace, recording is
 //! invisible to the chain itself (thread-count independence holds with
-//! tracing on).
+//! tracing on, and every recorder leaves the run's counts unchanged), and
+//! the journal and the profiler are exact views of one set of captures.
 
 use coopmc::core::engine::{GibbsEngine, RunStats};
 use coopmc::core::parallel::ChromaticEngine;
-use coopmc::core::pipeline::{FixedPipeline, PipelineConfig};
+use coopmc::core::pipeline::{CoopMcPipeline, FixedPipeline, PipelineConfig};
 use coopmc::hw::area::SamplerKind;
 use coopmc::hw::reconcile::reconcile;
 use coopmc::models::mrf::image_segmentation;
 use coopmc::models::GibbsModel;
 use coopmc::obs::journal::validate_journal;
-use coopmc::obs::{json, Recorder, TraceRecorder};
+use coopmc::obs::{json, Kernel, NoopRecorder, Profiled, Recorder, SpanProfiler, TraceRecorder};
 use coopmc::rng::SplitMix64;
 use coopmc::sampler::TreeSampler;
 
@@ -148,4 +149,97 @@ fn recording_does_not_perturb_the_pooled_chain() {
     let metrics = coopmc::obs::render();
     assert!(metrics.contains("coopmc_pool_worker_busy_ns"));
     assert!(metrics.contains("coopmc_pool_color_utilization"));
+}
+
+/// A short sequential CoopMC chain under `rec`: its counts and labels.
+fn sequential_run<Rec: Recorder>(rec: Rec) -> (RunStats, Vec<usize>) {
+    let mut app = image_segmentation(16, 16, 41);
+    let mut engine = GibbsEngine::with_recorder(
+        PipelineConfig::coopmc(64, 8).build(),
+        TreeSampler::new(),
+        SplitMix64::new(12),
+        rec,
+    );
+    let stats = engine.run(&mut app.mrf, 4);
+    (stats, app.mrf.labels())
+}
+
+/// A short chromatic CoopMC chain under `rec`: its update count and labels.
+fn chromatic_run<Rec: Recorder>(threads: usize, rec: Rec) -> (usize, Vec<usize>) {
+    let mut app = image_segmentation(20, 16, 42);
+    let engine = ChromaticEngine::with_recorder(CoopMcPipeline::new(64, 8), threads, 77, rec);
+    let updated = engine.run(&mut app.mrf, 4);
+    (updated, app.mrf.labels())
+}
+
+#[test]
+fn instrumentation_does_not_change_counts() {
+    let (trace, prof) = (TraceRecorder::new(), SpanProfiler::new(1));
+    let plain = sequential_run(NoopRecorder);
+    assert_eq!(plain, sequential_run(&trace), "&TraceRecorder");
+    assert_eq!(plain, sequential_run(&prof), "&SpanProfiler");
+    assert_eq!(
+        plain,
+        sequential_run(Profiled::new(&trace, &prof)),
+        "Profiled<&TraceRecorder>"
+    );
+
+    let plain = chromatic_run(1, NoopRecorder);
+    for threads in [1, 3] {
+        let (trace, prof) = (TraceRecorder::new(), SpanProfiler::new(threads + 1));
+        assert_eq!(
+            plain,
+            chromatic_run(threads, NoopRecorder),
+            "{threads}t noop"
+        );
+        assert_eq!(plain, chromatic_run(threads, &trace), "{threads}t trace");
+        assert_eq!(plain, chromatic_run(threads, &prof), "{threads}t profiler");
+        assert_eq!(
+            plain,
+            chromatic_run(threads, Profiled::new(&trace, &prof)),
+            "{threads}t trace + profiler"
+        );
+    }
+}
+
+/// The journal and the profiler must be two views of one set of captures:
+/// phase times and modeled cycles agree exactly, not approximately.
+fn assert_views_agree(trace: &TraceRecorder, prof: &SpanProfiler) -> u64 {
+    let sweeps = trace.sweeps();
+    let reports = prof.kernel_reports();
+    let kernel_ns = |k: Kernel| -> u64 {
+        reports
+            .iter()
+            .filter(|r| r.kernel == k)
+            .map(|r| r.total_ns)
+            .sum()
+    };
+    let journal = |f: fn(&coopmc::obs::SweepSample) -> u64| -> u64 { sweeps.iter().map(f).sum() };
+    assert!(journal(|s| s.sd_ns) > 0);
+    assert_eq!(journal(|s| s.sd_ns), kernel_ns(Kernel::SdSampleRows));
+    assert_eq!(journal(|s| s.pu_ns), kernel_ns(Kernel::PuUpdate));
+    // Journal PG time is gather + datapath.
+    assert!(kernel_ns(Kernel::PgGather) <= journal(|s| s.pg_ns));
+    let modeled: u64 = reports.iter().map(|r| r.modeled_cycles).sum();
+    assert_eq!(
+        journal(|s| s.pg_cycles + s.sd_cycles + s.pu_cycles),
+        modeled
+    );
+    modeled
+}
+
+#[test]
+fn one_capture_set_feeds_the_journal_and_the_profiler() {
+    let (trace, prof) = (TraceRecorder::new(), SpanProfiler::new(1));
+    let (stats, _) = sequential_run(Profiled::new(&trace, &prof));
+    assert_eq!(
+        assert_views_agree(&trace, &prof),
+        stats.simulated_hw_cycles()
+    );
+
+    for threads in [1, 3] {
+        let (trace, prof) = (TraceRecorder::new(), SpanProfiler::new(threads + 1));
+        chromatic_run(threads, Profiled::new(&trace, &prof));
+        assert_views_agree(&trace, &prof);
+    }
 }
