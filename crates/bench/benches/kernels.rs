@@ -48,11 +48,18 @@ fn bench_factor_datapaths(h: &Harness) {
         QFormat::baseline32(),
         8,
     );
+    let (mut work, mut probs) = (Vec::new(), Vec::new());
     h.run("factor_datapath/direct_mul_div", || {
-        direct.evaluate_factors(black_box(&exprs))
+        direct.evaluate_factor_rows_into(black_box(&exprs).iter().map(FactorExpr::row), &mut probs)
     });
     h.run("factor_datapath/logfusion_lut", || {
-        fused.evaluate_factors(black_box(&exprs))
+        fused.evaluate_factor_rows_into(
+            black_box(&exprs).iter().map(FactorExpr::row),
+            &mut work,
+            &mut probs,
+            None,
+            None,
+        )
     });
 }
 

@@ -31,6 +31,7 @@ fn main() {
         1,
     );
     let direct = DirectDatapath::new(QFormat::baseline32());
+    let (mut work, mut dval, mut fval) = (Vec::new(), Vec::new(), Vec::new());
     for depth in [1usize, 2, 4, 8, 16, 32] {
         // cycle model: (depth-1) muls + 1 div directly, vs depth log-LUT
         // lookups + adds + 1 exp lookup fused.
@@ -39,15 +40,15 @@ fn main() {
         // numeric check on a representative expression
         let nums: Vec<f64> = (0..depth - 1).map(|i| 0.4 + 0.02 * i as f64).collect();
         let expr = FactorExpr::ratio(if nums.is_empty() { vec![0.5] } else { nums }, vec![0.7]);
-        let dval = direct.evaluate_factors(std::slice::from_ref(&expr)).probs[0];
-        let fval = fusion.evaluate_factors(std::slice::from_ref(&expr)).probs[0];
+        direct.evaluate_factor_rows_into([expr.row()], &mut dval);
+        fusion.evaluate_factor_rows_into([expr.row()], &mut work, &mut fval, None, None);
         table.row(vec![
             Cell::int(depth as i64),
             Cell::int(direct_cycles as i64),
             Cell::int(fused_cycles as i64),
             Cell::unit(direct_cycles as f64 / fused_cycles as f64, 2, "x"),
-            Cell::num(dval, 8),
-            Cell::num(fval, 8),
+            Cell::num(dval[0], 8),
+            Cell::num(fval[0], 8),
         ]);
     }
     report.push(table);

@@ -104,8 +104,9 @@ pub(crate) struct LaneTally {
     /// PG wall time — gather plus datapath, the journal's Table II
     /// meaning — ns.
     pub(crate) pg_ns: u64,
-    /// Fused-datapath stage splits (filled only while profiling, and
-    /// `active` only if the pipeline reports stages at all).
+    /// Fused-datapath stage splits, taken from the PG buffers' armed
+    /// `phases` sinks when the lane emits its profile (`active` only if the
+    /// pipeline reports stages at all).
     pub(crate) phases: StagePhases,
     /// Sampling-from-Distribution wall time, ns.
     pub(crate) sd_ns: u64,
@@ -298,21 +299,12 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P,
     /// Resample a single unclamped variable.
     fn step(&mut self, model: &mut dyn GibbsModel, var: usize, stats: &mut RunStats) {
         let old_label = model.label(var);
-        let prof = self.recorder.prof_enabled();
-        let armed = self.recorder.enabled() || prof;
+        let armed = self.recorder.enabled() || self.recorder.prof_enabled();
         let mut clock = Stopwatch::start(armed);
         model.begin_resample(var);
         model.scores_into(var, &mut self.scores);
         let gather_ns = clock.lap();
-        if prof {
-            self.pipeline.generate_into_profiled(
-                &self.scores,
-                &mut self.pg,
-                &mut self.tally.phases,
-            );
-        } else {
-            self.pipeline.generate_into(&self.scores, &mut self.pg);
-        }
+        self.pipeline.generate_into(&self.scores, &mut self.pg);
         let pg_ns = clock.lap();
         let sample = self
             .sampler
@@ -343,6 +335,8 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P,
         if prof {
             self.recorder.prof_begin(0, Kernel::Sweep);
         }
+        // Arm the PG buffer's stage-timing sink only while profiling.
+        self.pg.phases = prof.then(StagePhases::default);
         for var in 0..model.num_variables() {
             if !model.is_clamped(var) {
                 self.step(model, var, stats);
@@ -351,8 +345,9 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P,
         stats.iterations += 1;
         self.journal_iteration += 1;
         let updates = stats.updates - updates0;
-        let tally = std::mem::take(&mut self.tally);
+        let mut tally = std::mem::take(&mut self.tally);
         if prof {
+            tally.phases = self.pg.phases.take().unwrap_or_default();
             // Sequential engine: everything runs on lane 0, the coordinator.
             tally.emit_profile(&self.recorder, 0, updates);
             self.recorder.prof_end(0, Kernel::Sweep);

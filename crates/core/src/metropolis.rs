@@ -12,7 +12,7 @@ use coopmc_models::{GibbsModel, LabelScore};
 use coopmc_rng::HwRng;
 
 use crate::engine::RunStats;
-use crate::pipeline::ProbabilityPipeline;
+use crate::pipeline::{PgOutput, ProbabilityPipeline};
 
 /// Metropolis–Hastings single-site driver.
 ///
@@ -25,6 +25,7 @@ pub struct MetropolisEngine<P, R> {
     pipeline: P,
     rng: R,
     scores: Vec<LabelScore>,
+    pg: PgOutput,
 }
 
 impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
@@ -34,6 +35,7 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
             pipeline,
             rng,
             scores: Vec::new(),
+            pg: PgOutput::new(),
         }
     }
 
@@ -50,7 +52,8 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
         }
         model.begin_resample(var);
         model.scores(var, &mut self.scores);
-        let pg = self.pipeline.generate(&self.scores);
+        self.pipeline.generate_into(&self.scores, &mut self.pg);
+        let pg = &self.pg;
         stats.ops.merge(&pg.ops);
         let p_cur = pg.probs[current];
         let p_new = pg.probs[proposal];
@@ -96,8 +99,13 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
 /// Iterated conditional modes: the deterministic greedy baseline — each
 /// variable takes its argmax label under the pipeline's probabilities.
 /// Converges fast to a local optimum; returns the number of label changes.
+///
+/// Ties go to the highest-indexed label. A NaN probability never wins:
+/// NaN labels are skipped, and a variable with no comparable label at all
+/// (every probability NaN, or no labels) keeps its current label.
 pub fn icm_sweep<P: ProbabilityPipeline>(model: &mut dyn GibbsModel, pipeline: &P) -> usize {
     let mut scores = Vec::new();
+    let mut pg = PgOutput::new();
     let mut changes = 0usize;
     for var in 0..model.num_variables() {
         if model.is_clamped(var) {
@@ -105,12 +113,13 @@ pub fn icm_sweep<P: ProbabilityPipeline>(model: &mut dyn GibbsModel, pipeline: &
         }
         model.begin_resample(var);
         model.scores(var, &mut scores);
-        let pg = pipeline.generate(&scores);
+        pipeline.generate_into(&scores, &mut pg);
         let best = pg
             .probs
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .filter(|(_, p)| !p.is_nan())
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN labels are skipped"))
             .map(|(i, _)| i)
             .unwrap_or(model.label(var));
         if best != model.label(var) {
@@ -256,6 +265,54 @@ mod tests {
         }
         // Fixed point reached: another sweep changes nothing.
         assert_eq!(icm_sweep(&mut app.mrf, &pipeline), 0);
+    }
+
+    /// One variable, three labels, fixed log-domain scores.
+    struct OneVar {
+        scores: [f64; 3],
+        label: usize,
+    }
+
+    impl GibbsModel for OneVar {
+        fn num_variables(&self) -> usize {
+            1
+        }
+
+        fn num_labels(&self, _var: usize) -> usize {
+            3
+        }
+
+        fn scores(&self, _var: usize, out: &mut Vec<LabelScore>) {
+            out.clear();
+            out.extend(self.scores.iter().map(|&v| LabelScore::LogDomain(v)));
+        }
+
+        fn update(&mut self, _var: usize, label: usize) {
+            self.label = label;
+        }
+
+        fn label(&self, _var: usize) -> usize {
+            self.label
+        }
+    }
+
+    #[test]
+    fn icm_never_picks_a_nan_label() {
+        // FloatPipeline maps [0, NaN, -1] to [1, NaN, e^-1]: label 0 wins.
+        let mut model = OneVar {
+            scores: [0.0, f64::NAN, -1.0],
+            label: 1,
+        };
+        assert_eq!(icm_sweep(&mut model, &FloatPipeline::new()), 1);
+        assert_eq!(model.label, 0);
+        // [∞, NaN, ∞] maps to all-NaN (∞ − ∞): nothing is comparable, so
+        // the current label stays.
+        let mut model = OneVar {
+            scores: [f64::INFINITY, f64::NAN, f64::INFINITY],
+            label: 1,
+        };
+        assert_eq!(icm_sweep(&mut model, &FloatPipeline::new()), 0);
+        assert_eq!(model.label, 1);
     }
 
     #[test]

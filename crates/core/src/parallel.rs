@@ -13,6 +13,7 @@
 //! so a 1-thread and an 8-thread run produce identical chains — a strong
 //! correctness handle that the tests exploit.
 
+use coopmc_kernels::fusion::StagePhases;
 use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::GridMrf;
 use coopmc_models::{GibbsModel, LabelScore};
@@ -220,6 +221,10 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         scratch.out.clear();
         scratch.fallbacks = 0;
         scratch.tally = LaneTally::default();
+        // Arm the PG buffers' stage-timing sinks only while profiling.
+        let sink = prof.then(StagePhases::default);
+        scratch.pg.phases = sink;
+        scratch.batch.phases = sink;
         scratch.batch_scores.clear();
         scratch.batch_vars.clear();
         let mut width = 0usize;
@@ -240,22 +245,28 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
                     .iter()
                     .all(|s| matches!(s, LabelScore::LogDomain(_)));
             if !batchable {
-                self.draw_var_from_scores(var, iteration, &sampler, scratch, clock, prof);
+                self.draw_var_from_scores(var, iteration, &sampler, scratch, clock, armed);
                 continue;
             }
             let w = scratch.scores.len();
             if !scratch.batch_vars.is_empty() && w != width {
-                self.flush_batch(width, iteration, &sampler, scratch, armed, prof);
+                self.flush_batch(width, iteration, &sampler, scratch, armed);
             }
             width = w;
             scratch.batch_scores.extend(scratch.scores.iter().cloned());
             scratch.batch_vars.push(var);
             if scratch.batch_vars.len() == self.batch_rows {
-                self.flush_batch(width, iteration, &sampler, scratch, armed, prof);
+                self.flush_batch(width, iteration, &sampler, scratch, armed);
             }
         }
-        self.flush_batch(width, iteration, &sampler, scratch, armed, prof);
+        self.flush_batch(width, iteration, &sampler, scratch, armed);
         if prof {
+            for phases in [scratch.pg.phases.take(), scratch.batch.phases.take()]
+                .iter()
+                .flatten()
+            {
+                scratch.tally.phases.merge(phases);
+            }
             // PU commits happen on the coordinator after the class barrier,
             // so a chunk books no update cycles (the sweep adds them there).
             // One leaf per kernel per *chunk* keeps ring traffic
@@ -273,25 +284,17 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         sampler: &TreeSampler,
         scratch: &mut SweepScratch,
         mut clock: Stopwatch,
-        prof: bool,
+        armed: bool,
     ) {
-        if prof {
-            self.pipeline.generate_into_profiled(
-                &scratch.scores,
-                &mut scratch.pg,
-                &mut scratch.tally.phases,
-            );
-        } else {
-            self.pipeline
-                .generate_into(&scratch.scores, &mut scratch.pg);
-        }
+        self.pipeline
+            .generate_into(&scratch.scores, &mut scratch.pg);
         let pg_ns = clock.lap();
         let mut rng = draw_rng(self.seed, iteration, var);
         let sample = sampler.sample_into(&scratch.pg.probs, &mut rng, &mut scratch.sd);
         let sd_ns = clock.lap();
         scratch.out.push((var, sample.label));
         scratch.fallbacks += u64::from(sample.fallback);
-        if self.recorder.enabled() || prof {
+        if armed {
             scratch.tally.draw(pg_ns, sd_ns, &scratch.pg, sample.cycles);
         }
     }
@@ -307,23 +310,13 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         sampler: &TreeSampler,
         scratch: &mut SweepScratch,
         armed: bool,
-        prof: bool,
     ) {
         if scratch.batch_vars.is_empty() {
             return;
         }
         let mut clock = Stopwatch::start(armed);
-        if prof {
-            self.pipeline.generate_batch_into_profiled(
-                &scratch.batch_scores,
-                width,
-                &mut scratch.batch,
-                &mut scratch.tally.phases,
-            );
-        } else {
-            self.pipeline
-                .generate_batch_into(&scratch.batch_scores, width, &mut scratch.batch);
-        }
+        self.pipeline
+            .generate_batch_into(&scratch.batch_scores, width, &mut scratch.batch);
         let pg_ns = clock.lap();
         let seed = self.seed;
         let row_vars = &scratch.batch_vars;

@@ -29,10 +29,16 @@ pub struct PgOutput {
     /// enabled). `None` fields mean the datapath produced no such value —
     /// e.g. the direct baseline has no NormTree maximum.
     pub telemetry: PgTelemetry,
+    /// The stage-timing sink for the kernel profiler. `None` (the state
+    /// [`PgOutput::new`] leaves it in) means unprofiled: the pipeline reads
+    /// no clock. `Some` arms it: every later call *adds* its per-stage wall
+    /// times, and a pipeline without a stage decomposition leaves it
+    /// untouched (`active == false`). Arming never changes the result.
+    pub phases: Option<StagePhases>,
 }
 
 impl PgOutput {
-    /// An empty output whose buffers grow on first use.
+    /// An empty, unprofiled output whose buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
     }
@@ -43,8 +49,9 @@ impl PgOutput {
 /// `probs` is row-major: row `r` of a width-`w` batch occupies
 /// `probs[r*w .. (r+1)*w]`. `ops` carries one tally per row (identical to
 /// what a scalar [`ProbabilityPipeline::generate_into`] call on that row
-/// would report, so modeled cycle totals are batching-invariant), and
-/// `telemetry` is the merge of every row's observations.
+/// would report, so modeled cycle totals are batching-invariant),
+/// `telemetry` is the merge of every row's observations, and `phases` is
+/// the same accumulating stage-timing sink as [`PgOutput::phases`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PgBatch {
     /// Row-major unnormalized probabilities.
@@ -53,12 +60,14 @@ pub struct PgBatch {
     pub ops: Vec<OpCounts>,
     /// Merged DyNorm/exp-kernel observations across all rows.
     pub telemetry: PgTelemetry,
+    /// Stage-timing sink, as [`PgOutput::phases`].
+    pub phases: Option<StagePhases>,
     /// Scalar scratch reused by the row-loop fallback path.
     row: PgOutput,
 }
 
 impl PgBatch {
-    /// An empty batch whose buffers grow on first use.
+    /// An empty, unprofiled batch whose buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
     }
@@ -81,7 +90,8 @@ impl PgBatch {
 /// Shared row-loop fallback: evaluate each row through the scalar
 /// `generate_into` path. Bit-identical by construction; used as the default
 /// `generate_batch_into` and by pipelines for score forms their fused batch
-/// path does not cover.
+/// path does not cover. The batch's stage-timing sink is lent to the row
+/// scratch for the loop, so armed rows accumulate into it.
 fn batch_rows_via_scalar<P: ProbabilityPipeline + ?Sized>(
     pipeline: &P,
     scores: &[LabelScore],
@@ -97,12 +107,27 @@ fn batch_rows_via_scalar<P: ProbabilityPipeline + ?Sized>(
     out.probs.clear();
     out.ops.clear();
     out.telemetry = PgTelemetry::new();
+    out.row.phases = out.phases.take();
     for row in scores.chunks_exact(width) {
         pipeline.generate_into(row, &mut out.row);
         out.probs.extend_from_slice(&out.row.probs);
         out.ops.push(out.row.ops);
         out.telemetry.merge(&out.row.telemetry);
     }
+    out.phases = out.row.phases.take();
+}
+
+/// Refill `values` with the log-domain values of `scores`; `false` as soon
+/// as a factor-form score shows up (that vector takes the factor path).
+fn log_values_into(scores: &[LabelScore], values: &mut Vec<f64>) -> bool {
+    values.clear();
+    for s in scores {
+        match s {
+            LabelScore::LogDomain(v) => values.push(*v),
+            LabelScore::Factors { .. } => return false,
+        }
+    }
+    true
 }
 
 /// Per-thread working memory shared by the pipeline implementations.
@@ -149,33 +174,19 @@ fn factor_rows<'a>(
     })
 }
 
-/// A Probability Generation datapath.
-///
-/// Implementors must override at least one of
-/// [`ProbabilityPipeline::generate`] /
-/// [`ProbabilityPipeline::generate_into`] — each default delegates to the
-/// other.
+/// A Probability Generation datapath: one entry point per call shape, with
+/// observation (telemetry, the `phases` stage-timing sink) carried in the
+/// output buffer.
 pub trait ProbabilityPipeline {
-    /// Evaluate the label scores into unnormalized probabilities.
-    fn generate(&self, scores: &[LabelScore]) -> PgOutput {
-        let mut out = PgOutput::new();
-        self.generate_into(scores, &mut out);
-        out
-    }
-
-    /// Evaluate into a caller-owned [`PgOutput`], overwriting its previous
-    /// contents.
+    /// Evaluate the label scores into unnormalized probabilities in a
+    /// caller-owned [`PgOutput`], overwriting `probs`, `ops` and
+    /// `telemetry` and adding to `phases` when it is armed.
     ///
-    /// Identical results to [`ProbabilityPipeline::generate`]; the
-    /// difference is allocation behaviour. The built-in pipelines reuse
-    /// `out.probs` and per-thread scratch buffers, so a warm steady-state
-    /// call performs **zero heap allocations** — the property the Gibbs
-    /// engine's hot path is built on. The default implementation delegates
-    /// to `generate` (custom pipelines only need to override one of the
-    /// two).
-    fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput) {
-        *out = self.generate(scores);
-    }
+    /// The built-in pipelines reuse `out.probs` and per-thread scratch
+    /// buffers, so a warm steady-state call performs **zero heap
+    /// allocations** — the property the Gibbs engine's hot path is built
+    /// on.
+    fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput);
 
     /// Evaluate a whole batch of same-width score rows in one call.
     ///
@@ -186,7 +197,9 @@ pub trait ProbabilityPipeline {
     /// one tally per row. Implementations may fuse work across rows (the
     /// CoopMC pipeline batches its quantize pass, NormTree reduction and
     /// lane-packed TableExp gather) but must preserve per-row results
-    /// exactly; the default implementation is the plain row loop.
+    /// exactly; the default implementation is the plain row loop. An armed
+    /// `out.phases` accumulates stage times as in
+    /// [`ProbabilityPipeline::generate_into`].
     ///
     /// # Panics
     ///
@@ -194,37 +207,6 @@ pub trait ProbabilityPipeline {
     /// `width`.
     fn generate_batch_into(&self, scores: &[LabelScore], width: usize, out: &mut PgBatch) {
         batch_rows_via_scalar(self, scores, width, out);
-    }
-
-    /// As [`ProbabilityPipeline::generate_into`], additionally accumulating
-    /// per-stage wall times into `phases` for the kernel profiler.
-    ///
-    /// The result must be bit-identical to the unprofiled call. The default
-    /// delegates and leaves `phases` untouched (`active == false`), meaning
-    /// the datapath offers no stage decomposition — its whole PG time then
-    /// shows up as sweep self time in the flamegraph.
-    fn generate_into_profiled(
-        &self,
-        scores: &[LabelScore],
-        out: &mut PgOutput,
-        phases: &mut StagePhases,
-    ) {
-        let _ = &phases;
-        self.generate_into(scores, out);
-    }
-
-    /// As [`ProbabilityPipeline::generate_batch_into`], additionally
-    /// accumulating per-stage wall times into `phases`; same contract as
-    /// [`ProbabilityPipeline::generate_into_profiled`].
-    fn generate_batch_into_profiled(
-        &self,
-        scores: &[LabelScore],
-        width: usize,
-        out: &mut PgBatch,
-        phases: &mut StagePhases,
-    ) {
-        let _ = &phases;
-        self.generate_batch_into(scores, width, out);
     }
 
     /// Short human-readable name for reports.
@@ -346,18 +328,10 @@ impl ProbabilityPipeline for FixedPipeline {
             // (optionally normalized); factor scores run the direct
             // multiplier/divider datapath.
             let log_scores = &mut scratch.log_scores;
-            log_scores.clear();
-            let mut is_log = true;
-            for s in scores {
-                match s {
-                    LabelScore::LogDomain(v) => log_scores.push(self.fmt.requantize_nearest(*v)),
-                    LabelScore::Factors { .. } => {
-                        is_log = false;
-                        break;
-                    }
+            if log_values_into(scores, log_scores) && !scores.is_empty() {
+                for v in log_scores.iter_mut() {
+                    *v = self.fmt.requantize_nearest(*v);
                 }
-            }
-            if is_log && !scores.is_empty() {
                 if self.dynorm {
                     let report = dynorm_apply(log_scores, 1);
                     ops.cmp += report.comparisons;
@@ -436,145 +410,56 @@ impl CoopMcPipeline {
     pub fn bit_lut(&self) -> u32 {
         self.bit_lut
     }
+}
 
-    /// One scalar evaluation, phased when `phases` is given: log-domain
-    /// vectors take the log-score path, anything else the factor rows.
-    fn generate_phased_into(
-        &self,
-        scores: &[LabelScore],
-        out: &mut PgOutput,
-        phases: Option<&mut StagePhases>,
-    ) {
+impl ProbabilityPipeline for CoopMcPipeline {
+    fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput) {
         PG_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            let all_log = scores.iter().all(|s| matches!(s, LabelScore::LogDomain(_)));
             out.telemetry = PgTelemetry::new();
-            out.ops = if all_log {
-                scratch.log_scores.clear();
-                scratch.log_scores.extend(scores.iter().map(|s| match s {
-                    LabelScore::LogDomain(v) => *v,
-                    _ => unreachable!(),
-                }));
-                let (log_scores, work) = (&scratch.log_scores, &mut scratch.work);
-                match phases {
-                    Some(phases) => self.fusion.evaluate_log_scores_phased_into(
-                        log_scores,
-                        work,
-                        &mut out.probs,
-                        &mut out.telemetry,
-                        phases,
-                    ),
-                    None => self.fusion.evaluate_log_scores_traced_into(
-                        log_scores,
-                        work,
-                        &mut out.probs,
-                        &mut out.telemetry,
-                    ),
-                }
+            let (telemetry, phases) = (Some(&mut out.telemetry), out.phases.as_mut());
+            out.ops = if log_values_into(scores, &mut scratch.log_scores) {
+                self.fusion.evaluate_log_scores_into(
+                    &scratch.log_scores,
+                    &mut scratch.work,
+                    &mut out.probs,
+                    telemetry,
+                    phases,
+                )
             } else {
                 self.fusion.evaluate_factor_rows_into(
                     factor_rows(scores, &mut scratch.log_scores),
                     &mut scratch.work,
                     &mut out.probs,
-                    Some(&mut out.telemetry),
+                    telemetry,
                     phases,
                 )
             };
         });
     }
-}
-
-impl ProbabilityPipeline for CoopMcPipeline {
-    fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput) {
-        self.generate_phased_into(scores, out, None);
-    }
 
     fn generate_batch_into(&self, scores: &[LabelScore], width: usize, out: &mut PgBatch) {
-        let all_log = scores.iter().all(|s| matches!(s, LabelScore::LogDomain(_)));
-        if !all_log {
+        let fused = PG_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            if !log_values_into(scores, &mut scratch.log_scores) {
+                return false;
+            }
+            out.telemetry = PgTelemetry::new();
+            self.fusion.evaluate_log_score_rows_into(
+                &scratch.log_scores,
+                width,
+                &mut scratch.work,
+                &mut out.probs,
+                &mut out.ops,
+                Some(&mut out.telemetry),
+                out.phases.as_mut(),
+            );
+            true
+        });
+        if !fused {
             // Factor rows keep the per-row path (still bit-identical).
             batch_rows_via_scalar(self, scores, width, out);
-            return;
         }
-        assert!(width > 0, "row width must be positive");
-        assert_eq!(
-            scores.len() % width,
-            0,
-            "batch length must be a multiple of the row width"
-        );
-        PG_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            scratch.log_scores.clear();
-            scratch.log_scores.extend(scores.iter().map(|s| match s {
-                LabelScore::LogDomain(v) => *v,
-                _ => unreachable!(),
-            }));
-            out.telemetry = PgTelemetry::new();
-            self.fusion.evaluate_log_score_rows_traced_into(
-                &scratch.log_scores,
-                width,
-                &mut scratch.work,
-                &mut out.probs,
-                &mut out.ops,
-                &mut out.telemetry,
-            );
-        });
-    }
-
-    fn generate_into_profiled(
-        &self,
-        scores: &[LabelScore],
-        out: &mut PgOutput,
-        phases: &mut StagePhases,
-    ) {
-        self.generate_phased_into(scores, out, Some(phases));
-    }
-
-    fn generate_batch_into_profiled(
-        &self,
-        scores: &[LabelScore],
-        width: usize,
-        out: &mut PgBatch,
-        phases: &mut StagePhases,
-    ) {
-        assert!(width > 0, "row width must be positive");
-        assert_eq!(
-            scores.len() % width,
-            0,
-            "batch length must be a multiple of the row width"
-        );
-        let all_log = scores.iter().all(|s| matches!(s, LabelScore::LogDomain(_)));
-        if !all_log {
-            // Factor rows keep the per-row path (still bit-identical).
-            out.probs.clear();
-            out.ops.clear();
-            out.telemetry = PgTelemetry::new();
-            for row in scores.chunks_exact(width) {
-                self.generate_into_profiled(row, &mut out.row, phases);
-                out.probs.extend_from_slice(&out.row.probs);
-                out.ops.push(out.row.ops);
-                out.telemetry.merge(&out.row.telemetry);
-            }
-            return;
-        }
-        PG_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            scratch.log_scores.clear();
-            scratch.log_scores.extend(scores.iter().map(|s| match s {
-                LabelScore::LogDomain(v) => *v,
-                _ => unreachable!(),
-            }));
-            out.telemetry = PgTelemetry::new();
-            self.fusion.evaluate_log_score_rows_phased_into(
-                &scratch.log_scores,
-                width,
-                &mut scratch.work,
-                &mut out.probs,
-                &mut out.ops,
-                &mut out.telemetry,
-                phases,
-            );
-        });
     }
 
     fn name(&self) -> String {
@@ -645,35 +530,12 @@ impl PipelineConfig {
 }
 
 impl<P: ProbabilityPipeline + ?Sized> ProbabilityPipeline for Box<P> {
-    fn generate(&self, scores: &[LabelScore]) -> PgOutput {
-        (**self).generate(scores)
-    }
-
     fn generate_into(&self, scores: &[LabelScore], out: &mut PgOutput) {
         (**self).generate_into(scores, out)
     }
 
     fn generate_batch_into(&self, scores: &[LabelScore], width: usize, out: &mut PgBatch) {
         (**self).generate_batch_into(scores, width, out)
-    }
-
-    fn generate_into_profiled(
-        &self,
-        scores: &[LabelScore],
-        out: &mut PgOutput,
-        phases: &mut StagePhases,
-    ) {
-        (**self).generate_into_profiled(scores, out, phases)
-    }
-
-    fn generate_batch_into_profiled(
-        &self,
-        scores: &[LabelScore],
-        width: usize,
-        out: &mut PgBatch,
-        phases: &mut StagePhases,
-    ) {
-        (**self).generate_batch_into_profiled(scores, width, out, phases)
     }
 
     fn name(&self) -> String {
@@ -689,10 +551,17 @@ mod tests {
         vals.iter().map(|&v| LabelScore::LogDomain(v)).collect()
     }
 
+    /// One unprofiled evaluation into a fresh output.
+    fn eval<P: ProbabilityPipeline + ?Sized>(p: &P, scores: &[LabelScore]) -> PgOutput {
+        let mut out = PgOutput::new();
+        p.generate_into(scores, &mut out);
+        out
+    }
+
     #[test]
     fn float_pipeline_matches_softmax_ratios() {
         let p = FloatPipeline::new();
-        let out = p.generate(&log_scores(&[-3.0, -1.0, -2.0]));
+        let out = eval(&p, &log_scores(&[-3.0, -1.0, -2.0]));
         let r = out.probs[1] / out.probs[0];
         assert!((r - (2.0f64).exp()).abs() < 1e-12);
         assert_eq!(
@@ -705,14 +574,14 @@ mod tests {
     fn fixed_low_precision_without_dynorm_flushes() {
         // The Fig. 2 failure mode: large negative scores, 4-bit exp kernel.
         let p = FixedPipeline::new(4, false);
-        let out = p.generate(&log_scores(&[-20.0, -18.0, -19.0]));
+        let out = eval(&p, &log_scores(&[-20.0, -18.0, -19.0]));
         assert!(out.probs.iter().all(|&x| x == 0.0), "{:?}", out.probs);
     }
 
     #[test]
     fn fixed_low_precision_with_dynorm_recovers() {
         let p = FixedPipeline::new(4, true);
-        let out = p.generate(&log_scores(&[-20.0, -18.0, -19.0]));
+        let out = eval(&p, &log_scores(&[-20.0, -18.0, -19.0]));
         assert_eq!(out.probs[1], 1.0);
         assert!(out.probs[0] < out.probs[2] && out.probs[2] < out.probs[1]);
     }
@@ -720,18 +589,21 @@ mod tests {
     #[test]
     fn coopmc_pipeline_handles_both_score_forms() {
         let p = CoopMcPipeline::new(128, 16);
-        let log_out = p.generate(&log_scores(&[-9.0, -8.0]));
+        let log_out = eval(&p, &log_scores(&[-9.0, -8.0]));
         assert_eq!(log_out.probs[1], 1.0);
-        let factor_out = p.generate(&[
-            LabelScore::Factors {
-                numerators: vec![0.2, 0.5],
-                denominators: vec![0.8],
-            },
-            LabelScore::Factors {
-                numerators: vec![0.4, 0.5],
-                denominators: vec![0.8],
-            },
-        ]);
+        let factor_out = eval(
+            &p,
+            &[
+                LabelScore::Factors {
+                    numerators: vec![0.2, 0.5],
+                    denominators: vec![0.8],
+                },
+                LabelScore::Factors {
+                    numerators: vec![0.4, 0.5],
+                    denominators: vec![0.8],
+                },
+            ],
+        );
         assert!(factor_out.probs[1] > factor_out.probs[0]);
     }
 
@@ -760,9 +632,9 @@ mod tests {
                 .unwrap()
                 .0
         };
-        let f = FloatPipeline::new().generate(&scores);
-        let x = FixedPipeline::new(8, true).generate(&scores);
-        let c = CoopMcPipeline::new(64, 8).generate(&scores);
+        let f = eval(&FloatPipeline::new(), &scores);
+        let x = eval(&FixedPipeline::new(8, true), &scores);
+        let c = eval(&CoopMcPipeline::new(64, 8), &scores);
         assert_eq!(argmax(&f.probs), 1);
         assert_eq!(argmax(&x.probs), 1);
         assert_eq!(argmax(&c.probs), 1);
@@ -773,14 +645,17 @@ mod tests {
         // Regression: log-domain and factor scores in one vector must be
         // shifted by the SAME constant, or their relative weights distort.
         let p = FloatPipeline::new();
-        let out = p.generate(&[
-            LabelScore::LogDomain(0.25_f64.ln()),
-            LabelScore::Factors {
-                numerators: vec![0.5, 0.5],
-                denominators: vec![],
-            },
-            LabelScore::LogDomain(0.5_f64.ln()),
-        ]);
+        let out = eval(
+            &p,
+            &[
+                LabelScore::LogDomain(0.25_f64.ln()),
+                LabelScore::Factors {
+                    numerators: vec![0.5, 0.5],
+                    denominators: vec![],
+                },
+                LabelScore::LogDomain(0.5_f64.ln()),
+            ],
+        );
         // All three labels carry probability 0.25/0.25/0.5 — equal scores
         // must come out equal regardless of representation.
         assert!(
@@ -795,31 +670,37 @@ mod tests {
     #[test]
     fn float_pipeline_degenerate_cases_are_well_defined() {
         let p = FloatPipeline::new();
-        assert!(p.generate(&[]).probs.is_empty());
+        assert!(eval(&p, &[]).probs.is_empty());
         // All labels carry zero mass: emit zeros (uniform-fallback regime),
         // never NaN.
-        let out = p.generate(&[
-            LabelScore::Factors {
-                numerators: vec![0.0],
-                denominators: vec![],
-            },
-            LabelScore::LogDomain(f64::NEG_INFINITY),
-        ]);
+        let out = eval(
+            &p,
+            &[
+                LabelScore::Factors {
+                    numerators: vec![0.0],
+                    denominators: vec![],
+                },
+                LabelScore::LogDomain(f64::NEG_INFINITY),
+            ],
+        );
         assert_eq!(out.probs, vec![0.0, 0.0]);
         // A zero-mass factor label among live ones stays exactly zero.
-        let out = p.generate(&[
-            LabelScore::Factors {
-                numerators: vec![0.0],
-                denominators: vec![],
-            },
-            LabelScore::LogDomain(-1.0),
-        ]);
+        let out = eval(
+            &p,
+            &[
+                LabelScore::Factors {
+                    numerators: vec![0.0],
+                    denominators: vec![],
+                },
+                LabelScore::LogDomain(-1.0),
+            ],
+        );
         assert_eq!(out.probs[0], 0.0);
         assert_eq!(out.probs[1], 1.0);
     }
 
     #[test]
-    fn generate_into_matches_generate_for_all_pipelines() {
+    fn reused_output_matches_a_fresh_one_for_all_pipelines() {
         let log = log_scores(&[-4.0, -2.5, -3.1]);
         let factors = vec![
             LabelScore::Factors {
@@ -841,7 +722,7 @@ mod tests {
         let mut out = PgOutput::new();
         for p in &pipelines {
             for scores in [&log, &factors] {
-                let fresh = p.generate(scores);
+                let fresh = eval(p, scores);
                 p.generate_into(scores, &mut out);
                 assert_eq!(fresh, out, "{} diverged", p.name());
             }
@@ -851,54 +732,58 @@ mod tests {
     #[test]
     fn profiled_generate_is_bit_identical_for_all_pipelines() {
         let log = log_scores(&[-4.0, -2.5, -3.1, -0.7]);
-        let factors = vec![
-            LabelScore::Factors {
-                numerators: vec![0.2, 0.5],
+        // Two width-2 rows of factor scores: the CoopMC batch path sends
+        // them through its per-row fallback.
+        let factors: Vec<LabelScore> = (0..4)
+            .map(|i| LabelScore::Factors {
+                numerators: vec![0.2 + 0.1 * i as f64, 0.5],
                 denominators: vec![0.8],
-            },
-            LabelScore::Factors {
-                numerators: vec![0.4, 0.5],
-                denominators: vec![0.8],
-            },
-        ];
+            })
+            .collect();
         let pipelines: Vec<Box<dyn ProbabilityPipeline>> = vec![
             Box::new(FloatPipeline::new()),
             Box::new(FixedPipeline::new(8, true)),
             Box::new(CoopMcPipeline::new(64, 8)),
         ];
-        let (mut out, mut profiled) = (PgOutput::new(), PgOutput::new());
-        let mut phases = StagePhases::default();
         for p in &pipelines {
+            // Only the fused CoopMC datapath decomposes into stages.
+            let staged = p.name().starts_with("coopmc");
             for scores in [&log, &factors] {
-                p.generate_into(scores, &mut out);
-                p.generate_into_profiled(scores, &mut profiled, &mut phases);
-                assert_eq!(out, profiled, "{} diverged under profiling", p.name());
-            }
-        }
-        // CoopMC decomposes into stages; the float reference does not.
-        assert!(phases.active, "CoopMC pipeline must fill stage phases");
-        let mut float_phases = StagePhases::default();
-        FloatPipeline::new().generate_into_profiled(&log, &mut profiled, &mut float_phases);
-        assert!(!float_phases.active);
+                let (mut plain, mut timed) = (PgOutput::new(), PgOutput::new());
+                timed.phases = Some(StagePhases::default());
+                p.generate_into(scores, &mut plain);
+                p.generate_into(scores, &mut timed);
+                assert_eq!(
+                    plain.phases,
+                    None,
+                    "{}: new() must stay unprofiled",
+                    p.name()
+                );
+                let phases = timed.phases.take().expect("an armed sink stays armed");
+                assert_eq!(plain, timed, "{} diverged under profiling", p.name());
+                assert_eq!(phases.active, staged, "{} scalar stages", p.name());
 
-        // The batched path agrees too, for both score forms.
-        let (mut batch, mut pbatch) = (PgBatch::new(), PgBatch::new());
-        let p = CoopMcPipeline::new(64, 8);
-        for scores in [&log, &factors] {
-            let mut bphases = StagePhases::default();
-            p.generate_batch_into(scores, 2, &mut batch);
-            p.generate_batch_into_profiled(scores, 2, &mut pbatch, &mut bphases);
-            assert_eq!(batch.probs, pbatch.probs);
-            assert_eq!(batch.ops, pbatch.ops);
-            assert_eq!(batch.telemetry, pbatch.telemetry);
-            assert!(bphases.active);
+                let (mut plain, mut timed) = (PgBatch::new(), PgBatch::new());
+                timed.phases = Some(StagePhases::default());
+                p.generate_batch_into(scores, 2, &mut plain);
+                p.generate_batch_into(scores, 2, &mut timed);
+                assert_eq!(
+                    plain.phases,
+                    None,
+                    "{}: new() must stay unprofiled",
+                    p.name()
+                );
+                let phases = timed.phases.take().expect("an armed sink stays armed");
+                assert_eq!(plain, timed, "{} batch diverged under profiling", p.name());
+                assert_eq!(phases.active, staged, "{} batch stages", p.name());
+            }
         }
     }
 
     #[test]
     fn op_counts_reported_for_fixed_path() {
         let p = FixedPipeline::new(8, true);
-        let out = p.generate(&log_scores(&[-1.0, -2.0, -3.0]));
+        let out = eval(&p, &log_scores(&[-1.0, -2.0, -3.0]));
         assert_eq!(out.ops.approx, 3, "one exp ALU call per label");
         assert!(out.ops.cmp > 0, "DyNorm comparators must be counted");
     }
@@ -924,7 +809,7 @@ mod tests {
                 assert_eq!(batch.rows(width), rows, "{}", p.name());
                 let mut merged = PgTelemetry::new();
                 for (r, row_scores) in flat.chunks_exact(width).enumerate() {
-                    let scalar = p.generate(row_scores);
+                    let scalar = eval(p, row_scores);
                     assert_eq!(
                         batch.probs_row(r, width),
                         &scalar.probs[..],
@@ -951,7 +836,7 @@ mod tests {
         let mut batch = PgBatch::new();
         p.generate_batch_into(&rows, 2, &mut batch);
         for (r, row_scores) in rows.chunks_exact(2).enumerate() {
-            let scalar = p.generate(row_scores);
+            let scalar = eval(&p, row_scores);
             assert_eq!(batch.probs_row(r, 2), &scalar.probs[..], "row {r}");
             assert_eq!(batch.ops[r], scalar.ops, "row {r}");
         }

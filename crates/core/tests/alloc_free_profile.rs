@@ -63,7 +63,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
-fn warm_profiled_sweep_allocates_nothing_and_stays_chain_invisible() {
+fn warm_sweep_under_the_profiler_allocates_nothing_and_stays_chain_invisible() {
     let profiler = SpanProfiler::new(1);
     let mut app = image_segmentation(32, 32, 21);
     let mut engine = GibbsEngine::with_recorder(

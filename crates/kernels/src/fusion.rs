@@ -23,8 +23,8 @@ use crate::exp::{ExpKernel, TableExp};
 use crate::log::LogKernel;
 use crate::telemetry::PgTelemetry;
 
-/// Per-stage wall times of one fused PG evaluation, filled by the
-/// `*_phased_into` variants for the kernel profiler.
+/// Per-stage wall times of fused PG evaluations, filled for the kernel
+/// profiler when an evaluation is handed `Some(phases)`.
 ///
 /// Stage names follow the datapath order: `log` is the log-kernel lookup
 /// of every linear-domain factor, `normalize` the accumulator-bus
@@ -33,7 +33,7 @@ use crate::telemetry::PgTelemetry;
 /// one `StagePhases` can cover a whole sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StagePhases {
-    /// True once any phased evaluation has run; lets callers distinguish
+    /// True once any timed evaluation has run; lets callers distinguish
     /// "no stage decomposition available" from "stages took 0 ns".
     pub active: bool,
     /// Log-kernel lookups of linear-domain factors, quantized onto the
@@ -48,11 +48,6 @@ pub struct StagePhases {
 }
 
 impl StagePhases {
-    /// Reset all phase times and the `active` flag.
-    pub fn reset(&mut self) {
-        *self = StagePhases::default();
-    }
-
     /// Fold another stage split into this one.
     pub fn merge(&mut self, other: &StagePhases) {
         self.active |= other.active;
@@ -76,7 +71,7 @@ fn lap(
     Some(now)
 }
 
-/// Start the stage clock of a phased evaluation (marking it active).
+/// Start the stage clock of a timed evaluation (marking it active).
 fn start(phases: &mut Option<&mut StagePhases>) -> Option<Instant> {
     phases.as_deref_mut().map(|p| {
         p.active = true;
@@ -134,15 +129,6 @@ impl FactorExpr {
     }
 }
 
-/// Result of evaluating a probability vector through a PG datapath.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PgResult {
-    /// Unnormalized probabilities, one per label.
-    pub probs: Vec<f64>,
-    /// Primitive-operation tally for the cycle/energy models.
-    pub ops: OpCounts,
-}
-
 /// The fused log-domain PG datapath: log kernels → fixed-point
 /// accumulation → DyNorm → exp kernel.
 #[derive(Debug, Clone)]
@@ -190,44 +176,6 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         self
     }
 
-    /// The log kernel.
-    pub fn log_kernel(&self) -> &L {
-        &self.log
-    }
-
-    /// The exp kernel.
-    pub fn exp_kernel(&self) -> &E {
-        &self.exp
-    }
-
-    /// Accumulator bus format.
-    pub fn accumulator_format(&self) -> QFormat {
-        self.acc_fmt
-    }
-
-    /// Evaluate a full label vector of factor expressions (Eq. 11).
-    pub fn evaluate_factors(&self, exprs: &[FactorExpr]) -> PgResult {
-        let mut work = Vec::new();
-        let mut probs = Vec::new();
-        let ops = self.evaluate_factors_into(exprs, &mut work, &mut probs);
-        PgResult { probs, ops }
-    }
-
-    /// [`LogFusion::evaluate_factors`] writing into caller-owned buffers.
-    ///
-    /// `work` holds the log-domain accumulator values between accumulation
-    /// and the exp stage; `probs` receives the output vector. Both are
-    /// cleared first and only grow if shorter than needed — with warmed
-    /// buffers the evaluation is allocation-free.
-    pub fn evaluate_factors_into(
-        &self,
-        exprs: &[FactorExpr],
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-    ) -> OpCounts {
-        self.evaluate_factor_rows_into(exprs.iter().map(FactorExpr::row), work, probs, None, None)
-    }
-
     /// The factor datapath itself: evaluate one label per borrowed
     /// `(numerators, denominators)` row, with no copy of the factors.
     ///
@@ -235,11 +183,16 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     /// first, and quantizes it onto the accumulator bus. Stage `normalize`
     /// sums each row's logs on the bus, `Σ log a_i − Σ log b_j`, saturating
     /// after every add exactly as a fixed-point adder would. DyNorm and the
-    /// exp kernel follow. `telemetry` (DyNorm/exp-kernel observations for
-    /// the run journal; a plain stack accumulator) and `phases` (per-stage
-    /// wall times for the kernel profiler) are recorded when given; neither
-    /// changes the result. Same buffer contract as
-    /// [`LogFusion::evaluate_factors_into`].
+    /// exp kernel follow.
+    ///
+    /// `work` holds the log-domain accumulator values between accumulation
+    /// and the exp stage; `probs` receives the output vector. Both are
+    /// cleared first and only grow if shorter than needed — with warmed
+    /// buffers the evaluation is allocation-free. `telemetry` (DyNorm/exp
+    /// kernel observations for the run journal; a plain stack accumulator)
+    /// and `phases` (per-stage wall times for the kernel profiler, with no
+    /// clock read when `None`) are recorded when given; neither changes the
+    /// result. The other two entry points share this contract.
     pub fn evaluate_factor_rows_into<'r, I>(
         &self,
         rows: I,
@@ -296,52 +249,9 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     }
 
     /// Evaluate a label vector whose scores are already in the log domain
-    /// (e.g. MRF energies `-β·TC`): skips the log kernels.
-    pub fn evaluate_log_scores(&self, scores: &[f64]) -> PgResult {
-        let mut work = Vec::new();
-        let mut probs = Vec::new();
-        let ops = self.evaluate_log_scores_into(scores, &mut work, &mut probs);
-        PgResult { probs, ops }
-    }
-
-    /// [`LogFusion::evaluate_log_scores`] writing into caller-owned
-    /// buffers; same contract as [`LogFusion::evaluate_factors_into`].
+    /// (e.g. MRF energies `-β·TC`): skips the log kernels. Same contract as
+    /// [`LogFusion::evaluate_factor_rows_into`].
     pub fn evaluate_log_scores_into(
-        &self,
-        scores: &[f64],
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-    ) -> OpCounts {
-        self.log_scores_impl(scores, work, probs, None, None)
-    }
-
-    /// [`LogFusion::evaluate_log_scores_into`] that additionally records
-    /// DyNorm/exp-kernel telemetry for the run journal.
-    pub fn evaluate_log_scores_traced_into(
-        &self,
-        scores: &[f64],
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-        telemetry: &mut PgTelemetry,
-    ) -> OpCounts {
-        self.log_scores_impl(scores, work, probs, Some(telemetry), None)
-    }
-
-    /// [`LogFusion::evaluate_log_scores_traced_into`] that additionally
-    /// accumulates per-stage wall times into `phases` for the kernel
-    /// profiler. The result is bit-identical to the unphased call.
-    pub fn evaluate_log_scores_phased_into(
-        &self,
-        scores: &[f64],
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-        telemetry: &mut PgTelemetry,
-        phases: &mut StagePhases,
-    ) -> OpCounts {
-        self.log_scores_impl(scores, work, probs, Some(telemetry), Some(phases))
-    }
-
-    fn log_scores_impl(
         &self,
         scores: &[f64],
         work: &mut Vec<f64>,
@@ -401,7 +311,7 @@ impl<L: LogKernel> LogFusion<L, TableExp> {
     ///
     /// `scores` is row-major (`scores.len() / width` rows of exactly
     /// `width` labels). The result is **bit-identical** to calling
-    /// [`LogFusion::evaluate_log_scores_traced_into`] once per row: the
+    /// [`LogFusion::evaluate_log_scores_into`] once per row: the
     /// same per-score accumulator quantization, the same per-row DyNorm
     /// fold, and the same ROM entries — only fused into one quantize pass,
     /// one [`dynorm_apply_rows`] sweep and one lane-packed
@@ -411,58 +321,22 @@ impl<L: LogKernel> LogFusion<L, TableExp> {
     /// `ops_per_row` one tally per row (matching the scalar path's
     /// per-call [`OpCounts`] exactly, so modeled cycle totals are
     /// batching-invariant). All output buffers are cleared first; with
-    /// warmed buffers the evaluation is allocation-free.
+    /// warmed buffers the evaluation is allocation-free. `telemetry` and
+    /// `phases` as for [`LogFusion::evaluate_factor_rows_into`].
     ///
     /// # Panics
     ///
     /// Panics if `width == 0` or `scores.len()` is not a multiple of
     /// `width`.
-    pub fn evaluate_log_score_rows_traced_into(
-        &self,
-        scores: &[f64],
-        width: usize,
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-        ops_per_row: &mut Vec<OpCounts>,
-        telemetry: &mut PgTelemetry,
-    ) {
-        self.log_score_rows_impl(scores, width, work, probs, ops_per_row, telemetry, None)
-    }
-
-    /// [`LogFusion::evaluate_log_score_rows_traced_into`] that additionally
-    /// accumulates per-stage wall times into `phases` for the kernel
-    /// profiler. The result is bit-identical to the unphased call.
     #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_log_score_rows_phased_into(
+    pub fn evaluate_log_score_rows_into(
         &self,
         scores: &[f64],
         width: usize,
         work: &mut Vec<f64>,
         probs: &mut Vec<f64>,
         ops_per_row: &mut Vec<OpCounts>,
-        telemetry: &mut PgTelemetry,
-        phases: &mut StagePhases,
-    ) {
-        self.log_score_rows_impl(
-            scores,
-            width,
-            work,
-            probs,
-            ops_per_row,
-            telemetry,
-            Some(phases),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn log_score_rows_impl(
-        &self,
-        scores: &[f64],
-        width: usize,
-        work: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-        ops_per_row: &mut Vec<OpCounts>,
-        telemetry: &mut PgTelemetry,
+        mut telemetry: Option<&mut PgTelemetry>,
         mut phases: Option<&mut StagePhases>,
     ) {
         assert!(width > 0, "row width must be positive");
@@ -491,7 +365,9 @@ impl<L: LogKernel> LogFusion<L, TableExp> {
                     ..OpCounts::new()
                 };
                 ops_per_row.push(ops);
-                telemetry.observe_norm_max(report.max);
+                if let Some(t) = telemetry.as_deref_mut() {
+                    t.observe_norm_max(report.max);
+                }
             });
         } else {
             let ops = OpCounts {
@@ -502,8 +378,10 @@ impl<L: LogKernel> LogFusion<L, TableExp> {
                 ops_per_row.push(ops);
             }
         }
-        for &s in work.iter() {
-            telemetry.observe_exp_input(s);
+        if let Some(t) = telemetry {
+            for &s in work.iter() {
+                t.observe_exp_input(s);
+            }
         }
         let t2 = lap(&mut phases, t1, |p| &mut p.dynorm_ns);
         // Stage 3: one gathered TableExp lookup over the whole batch.
@@ -527,28 +405,9 @@ impl DirectDatapath {
         Self { fmt }
     }
 
-    /// Bus format.
-    pub fn format(&self) -> QFormat {
-        self.fmt
-    }
-
-    /// Evaluate a label vector of factor expressions with explicit
-    /// multiply/divide sequences.
-    pub fn evaluate_factors(&self, exprs: &[FactorExpr]) -> PgResult {
-        let mut probs = Vec::new();
-        let ops = self.evaluate_factors_into(exprs, &mut probs);
-        PgResult { probs, ops }
-    }
-
-    /// [`DirectDatapath::evaluate_factors`] writing into a caller-owned
-    /// output buffer (cleared first); allocation-free once `probs` has
-    /// capacity for `exprs.len()` values.
-    pub fn evaluate_factors_into(&self, exprs: &[FactorExpr], probs: &mut Vec<f64>) -> OpCounts {
-        self.evaluate_factor_rows_into(exprs.iter().map(FactorExpr::row), probs)
-    }
-
-    /// [`DirectDatapath::evaluate_factors_into`] over borrowed
-    /// `(numerators, denominators)` rows, one per label.
+    /// Evaluate one label per borrowed `(numerators, denominators)` row
+    /// with explicit multiply/divide sequences into `probs` (cleared
+    /// first); allocation-free once `probs` has capacity for every row.
     pub fn evaluate_factor_rows_into<'r>(
         &self,
         rows: impl IntoIterator<Item = (&'r [f64], &'r [f64])>,
@@ -582,6 +441,41 @@ mod tests {
         QFormat::baseline32()
     }
 
+    /// The fused factor datapath into fresh buffers, untraced.
+    fn fused<L: LogKernel, E: ExpKernel>(
+        fusion: &LogFusion<L, E>,
+        exprs: &[FactorExpr],
+    ) -> (Vec<f64>, OpCounts) {
+        let (mut work, mut probs) = (Vec::new(), Vec::new());
+        let ops = fusion.evaluate_factor_rows_into(
+            exprs.iter().map(FactorExpr::row),
+            &mut work,
+            &mut probs,
+            None,
+            None,
+        );
+        (probs, ops)
+    }
+
+    /// The fused log-score datapath into fresh buffers, with telemetry.
+    fn fused_log<L: LogKernel, E: ExpKernel>(
+        fusion: &LogFusion<L, E>,
+        scores: &[f64],
+        telemetry: &mut PgTelemetry,
+    ) -> (Vec<f64>, OpCounts) {
+        let (mut work, mut probs) = (Vec::new(), Vec::new());
+        let ops =
+            fusion.evaluate_log_scores_into(scores, &mut work, &mut probs, Some(telemetry), None);
+        (probs, ops)
+    }
+
+    fn direct(exprs: &[FactorExpr]) -> (Vec<f64>, OpCounts) {
+        let mut probs = Vec::new();
+        let ops = DirectDatapath::new(acc())
+            .evaluate_factor_rows_into(exprs.iter().map(FactorExpr::row), &mut probs);
+        (probs, ops)
+    }
+
     #[test]
     fn factor_expr_reference_value() {
         let e = FactorExpr::ratio(vec![0.5, 0.4], vec![0.1]);
@@ -601,9 +495,9 @@ mod tests {
             FactorExpr::ratio(vec![0.5, 0.8], vec![0.9]),
             FactorExpr::ratio(vec![0.3, 0.6], vec![0.9]),
         ];
-        let result = fusion.evaluate_factors(&exprs);
+        let (probs, _) = fused(&fusion, &exprs);
         // DyNorm rescales both by the same constant: ratios are preserved.
-        let got = result.probs[0] / result.probs[1];
+        let got = probs[0] / probs[1];
         let want = exprs[0].reference_value() / exprs[1].reference_value();
         assert!((got - want).abs() / want < 1e-3, "got {got} want {want}");
     }
@@ -615,17 +509,16 @@ mod tests {
             .iter()
             .map(|&p| FactorExpr::product(vec![p, 0.7]))
             .collect();
-        let result = fusion.evaluate_factors(&exprs);
-        let argmax = result
-            .probs
+        let (probs, _) = fused(&fusion, &exprs);
+        let argmax = probs
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
             .unwrap()
             .0;
         assert_eq!(argmax, 1);
-        assert!(result.probs[3] > result.probs[2]);
-        assert!(result.probs[2] > result.probs[0]);
+        assert!(probs[3] > probs[2]);
+        assert!(probs[2] > probs[0]);
     }
 
     #[test]
@@ -636,9 +529,9 @@ mod tests {
             .iter()
             .map(|&p| FactorExpr::product(vec![p]))
             .collect();
-        let result = fusion.evaluate_factors(&exprs);
-        assert_eq!(result.probs[1], 1.0, "best label must map to exp(0) = 1");
-        assert!(result.probs.iter().all(|&p| p > 0.0), "{:?}", result.probs);
+        let (probs, _) = fused(&fusion, &exprs);
+        assert_eq!(probs[1], 1.0, "best label must map to exp(0) = 1");
+        assert!(probs.iter().all(|&p| p > 0.0), "{probs:?}");
     }
 
     #[test]
@@ -649,54 +542,50 @@ mod tests {
             .iter()
             .map(|&p| FactorExpr::product(vec![p]))
             .collect();
-        let result = fusion.evaluate_factors(&exprs);
+        let (probs, _) = fused(&fusion, &exprs);
         assert!(
-            result.probs.iter().all(|&p| p == 0.0),
-            "tiny probs must flush without DyNorm: {:?}",
-            result.probs
+            probs.iter().all(|&p| p == 0.0),
+            "tiny probs must flush without DyNorm: {probs:?}"
         );
     }
 
     #[test]
     fn log_scores_path_skips_log_kernels() {
         let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 2);
-        let result = fusion.evaluate_log_scores(&[-10.0, -9.0, -12.0]);
-        assert_eq!(result.probs[1], 1.0);
+        let (probs, ops) = fused_log(&fusion, &[-10.0, -9.0, -12.0], &mut PgTelemetry::new());
+        assert_eq!(probs[1], 1.0);
         // one lut per exp, none per log
-        assert_eq!(result.ops.lut, 3);
+        assert_eq!(ops.lut, 3);
     }
 
     #[test]
     fn op_counts_match_factor_structure() {
         let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc(), 1);
         let exprs = vec![FactorExpr::ratio(vec![0.5, 0.5, 0.5], vec![0.25, 0.75])];
-        let r = fusion.evaluate_factors(&exprs);
+        let (_, ops) = fused(&fusion, &exprs);
         // 5 log lookups + 1 exp lookup, 5 adds + 1 dynorm subtract
-        assert_eq!(r.ops.lut, 6);
-        assert_eq!(r.ops.add, 6);
+        assert_eq!(ops.lut, 6);
+        assert_eq!(ops.add, 6);
     }
 
     #[test]
     fn direct_datapath_matches_reference_for_benign_values() {
-        let direct = DirectDatapath::new(acc());
-        let exprs = vec![FactorExpr::ratio(vec![0.5, 0.5], vec![0.125])];
-        let r = direct.evaluate_factors(&exprs);
-        assert!((r.probs[0] - 2.0).abs() < 1e-3);
-        assert_eq!(r.ops.mul, 2);
-        assert_eq!(r.ops.div, 1);
+        let (probs, ops) = direct(&[FactorExpr::ratio(vec![0.5, 0.5], vec![0.125])]);
+        assert!((probs[0] - 2.0).abs() < 1e-3);
+        assert_eq!(ops.mul, 2);
+        assert_eq!(ops.div, 1);
     }
 
     #[test]
     fn direct_datapath_underflows_on_long_products() {
         // §III-C: long multiply sequences underflow in fixed point; this is
         // what LogFusion fixes.
-        let direct = DirectDatapath::new(acc());
         let exprs = vec![FactorExpr::product(vec![1e-3; 6])];
-        let r = direct.evaluate_factors(&exprs);
-        assert_eq!(r.probs[0], 0.0, "product of six 1e-3 must underflow Q15.16");
+        let (probs, _) = direct(&exprs);
+        assert_eq!(probs[0], 0.0, "product of six 1e-3 must underflow Q15.16");
         let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc(), 1);
-        let f = fusion.evaluate_factors(&exprs);
-        assert!(f.probs[0] > 0.0, "LogFusion+DyNorm must not underflow");
+        let (probs, _) = fused(&fusion, &exprs);
+        assert!(probs[0] > 0.0, "LogFusion+DyNorm must not underflow");
     }
 
     #[test]
@@ -706,21 +595,22 @@ mod tests {
             FactorExpr::product(vec![0.0, 0.5]),
             FactorExpr::product(vec![0.5, 0.5]),
         ];
-        let r = fusion.evaluate_factors(&exprs);
-        assert_eq!(r.probs[0], 0.0, "a zero factor must kill the label");
-        assert!(r.probs[1] > 0.0);
+        let (probs, _) = fused(&fusion, &exprs);
+        assert_eq!(probs[0], 0.0, "a zero factor must kill the label");
+        assert!(probs[1] > 0.0);
     }
 
     #[test]
     fn empty_vector_is_empty() {
         let fusion = LogFusion::new(FloatLog::new(), FloatExp::new(), acc(), 1);
-        assert!(fusion.evaluate_factors(&[]).probs.is_empty());
-        assert!(fusion.evaluate_log_scores(&[]).probs.is_empty());
+        assert!(fused(&fusion, &[]).0.is_empty());
+        assert!(fused_log(&fusion, &[], &mut PgTelemetry::new())
+            .0
+            .is_empty());
     }
 
     #[test]
     fn batched_rows_are_bit_identical_to_per_row_scalar_calls() {
-        use crate::telemetry::PgTelemetry;
         // Cover both SWAR (64 ≤ 255 entries) and scalar-fallback (1024)
         // exp tables, several widths (ragged vs the 8-lane packing) and
         // pipeline counts (multi-pass NormTree folds included).
@@ -738,25 +628,20 @@ mod tests {
                     .collect();
                 let (mut work, mut probs, mut ops_rows) = (Vec::new(), Vec::new(), Vec::new());
                 let mut batched_tel = PgTelemetry::new();
-                fusion.evaluate_log_score_rows_traced_into(
+                fusion.evaluate_log_score_rows_into(
                     &flat,
                     width,
                     &mut work,
                     &mut probs,
                     &mut ops_rows,
-                    &mut batched_tel,
+                    Some(&mut batched_tel),
+                    None,
                 );
                 assert_eq!(probs.len(), rows * width);
                 assert_eq!(ops_rows.len(), rows);
                 let mut scalar_tel = PgTelemetry::new();
                 for (row, chunk) in flat.chunks_exact(width).enumerate() {
-                    let (mut w, mut p) = (Vec::new(), Vec::new());
-                    let ops = fusion.evaluate_log_scores_traced_into(
-                        chunk,
-                        &mut w,
-                        &mut p,
-                        &mut scalar_tel,
-                    );
+                    let (p, ops) = fused_log(&fusion, chunk, &mut scalar_tel);
                     assert_eq!(
                         probs[row * width..(row + 1) * width],
                         p[..],
@@ -777,25 +662,22 @@ mod tests {
 
     #[test]
     fn batched_rows_without_dynorm_match_scalar_too() {
-        use crate::telemetry::PgTelemetry;
         let fusion =
             LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 4).without_dynorm();
         let width = 4;
         let flat: Vec<f64> = (0..width * 3).map(|i| -(i as f64) * 0.9).collect();
         let (mut work, mut probs, mut ops_rows) = (Vec::new(), Vec::new(), Vec::new());
-        let mut tel = PgTelemetry::new();
-        fusion.evaluate_log_score_rows_traced_into(
+        fusion.evaluate_log_score_rows_into(
             &flat,
             width,
             &mut work,
             &mut probs,
             &mut ops_rows,
-            &mut tel,
+            None,
+            None,
         );
         for (row, chunk) in flat.chunks_exact(width).enumerate() {
-            let (mut w, mut p) = (Vec::new(), Vec::new());
-            let mut stel = PgTelemetry::new();
-            let ops = fusion.evaluate_log_scores_traced_into(chunk, &mut w, &mut p, &mut stel);
+            let (p, ops) = fused_log(&fusion, chunk, &mut PgTelemetry::new());
             assert_eq!(probs[row * width..(row + 1) * width], p[..]);
             assert_eq!(ops_rows[row], ops);
         }
@@ -803,39 +685,37 @@ mod tests {
 
     #[test]
     fn phased_evaluation_is_bit_identical_and_fills_phases() {
-        use crate::telemetry::PgTelemetry;
         let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 4);
         let scores = [-10.0, -9.0, -12.0, -11.5];
 
-        let (mut w1, mut p1, mut tel1) = (Vec::new(), Vec::new(), PgTelemetry::new());
-        let ops1 = fusion.evaluate_log_scores_traced_into(&scores, &mut w1, &mut p1, &mut tel1);
+        let mut tel1 = PgTelemetry::new();
+        let (p1, ops1) = fused_log(&fusion, &scores, &mut tel1);
 
         let (mut w2, mut p2, mut tel2) = (Vec::new(), Vec::new(), PgTelemetry::new());
         let mut phases = StagePhases::default();
-        let ops2 = fusion.evaluate_log_scores_phased_into(
+        let ops2 = fusion.evaluate_log_scores_into(
             &scores,
             &mut w2,
             &mut p2,
-            &mut tel2,
-            &mut phases,
+            Some(&mut tel2),
+            Some(&mut phases),
         );
         assert_eq!(p1, p2);
         assert_eq!(ops1, ops2);
         assert_eq!(tel1, tel2);
-        assert!(phases.active, "phased call must mark phases active");
+        assert!(phases.active, "a timed call must mark phases active");
 
         // The batched rows path agrees too.
-        let (mut wb, mut pb, mut opsb, mut telb) =
-            (Vec::new(), Vec::new(), Vec::new(), PgTelemetry::new());
+        let (mut wb, mut pb, mut opsb) = (Vec::new(), Vec::new(), Vec::new());
         let mut bphases = StagePhases::default();
-        fusion.evaluate_log_score_rows_phased_into(
+        fusion.evaluate_log_score_rows_into(
             &scores,
             scores.len(),
             &mut wb,
             &mut pb,
             &mut opsb,
-            &mut telb,
-            &mut bphases,
+            None,
+            Some(&mut bphases),
         );
         assert_eq!(p1, pb);
         assert_eq!(vec![ops1], opsb);
@@ -852,47 +732,44 @@ mod tests {
             Some(&mut telf),
             Some(&mut fphases),
         );
-        let plain = fusion.evaluate_factors(&exprs);
-        assert_eq!(pf, plain.probs);
-        assert_eq!(fops, plain.ops);
+        let (plain, plain_ops) = fused(&fusion, &exprs);
+        assert_eq!(pf, plain);
+        assert_eq!(fops, plain_ops);
         assert!(fphases.active);
         assert!(fphases.log_ns > 0, "the factor path times its log stage");
-        fphases.reset();
-        assert_eq!(fphases, StagePhases::default());
     }
 
     #[test]
     fn batched_rows_reuse_dirty_buffers_correctly() {
-        use crate::telemetry::PgTelemetry;
         let fusion = LogFusion::new(TableLog::new(64, 8), TableExp::new(64, 8), acc(), 4);
         let (mut work, mut probs, mut ops_rows) = (Vec::new(), Vec::new(), Vec::new());
         let mut tel = PgTelemetry::new();
         // A big first batch leaves stale content behind...
         let big: Vec<f64> = (0..40).map(|i| -(i as f64)).collect();
-        fusion.evaluate_log_score_rows_traced_into(
+        fusion.evaluate_log_score_rows_into(
             &big,
             8,
             &mut work,
             &mut probs,
             &mut ops_rows,
-            &mut tel,
+            Some(&mut tel),
+            None,
         );
         // ...which a smaller second batch must fully overwrite.
         let small = [-1.0, -2.0, -3.0, -4.0];
         let mut tel2 = PgTelemetry::new();
-        fusion.evaluate_log_score_rows_traced_into(
+        fusion.evaluate_log_score_rows_into(
             &small,
             2,
             &mut work,
             &mut probs,
             &mut ops_rows,
-            &mut tel2,
+            Some(&mut tel2),
+            None,
         );
         assert_eq!(probs.len(), 4);
         assert_eq!(ops_rows.len(), 2);
-        let (mut w, mut p) = (Vec::new(), Vec::new());
-        let mut stel = PgTelemetry::new();
-        fusion.evaluate_log_scores_traced_into(&small[..2], &mut w, &mut p, &mut stel);
+        let (p, _) = fused_log(&fusion, &small[..2], &mut PgTelemetry::new());
         assert_eq!(probs[..2], p[..]);
     }
 }

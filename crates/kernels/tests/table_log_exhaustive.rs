@@ -230,7 +230,13 @@ fn factor_loop_is_bit_identical_to_the_fixed_accumulator() {
                         )
                     })
                     .collect();
-                let ops = fusion.evaluate_factors_into(&exprs, &mut work, &mut probs);
+                let ops = fusion.evaluate_factor_rows_into(
+                    exprs.iter().map(FactorExpr::row),
+                    &mut work,
+                    &mut probs,
+                    None,
+                    None,
+                );
                 let want = frozen_accumulate(&old, acc_fmt, &exprs);
                 let got_bits: Vec<u64> = work.iter().map(|v| v.to_bits()).collect();
                 let want_bits: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
