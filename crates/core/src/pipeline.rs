@@ -375,12 +375,13 @@ pub struct CoopMcPipeline {
 
 impl CoopMcPipeline {
     /// Build the datapath with the given TableExp parameters; the TableLog
-    /// uses the same size/precision, and the log-domain accumulator bus is
-    /// the paper's Q15.16.
+    /// uses the same size and precision (clamped to its 46-bit maximum),
+    /// and the log-domain accumulator bus is the paper's Q15.16.
     ///
     /// # Panics
     ///
-    /// Panics if `size_lut == 0` or `bit_lut` is outside `1..=46`.
+    /// Panics if `size_lut == 0` or `bit_lut` is outside `1..=52` (the
+    /// TableExp entry-width limit).
     pub fn new(size_lut: usize, bit_lut: u32) -> Self {
         Self::with_pipelines(size_lut, bit_lut, 4)
     }

@@ -112,9 +112,14 @@ impl QFormat {
     }
 
     /// Smallest positive representable increment, `2^-frac_bits`.
+    ///
+    /// Built from its IEEE-754 bit pattern (biased exponent
+    /// `1023 - frac_bits`, zero mantissa) rather than by a division: the
+    /// value is the same exact power of two, and every grid snap
+    /// ([`QFormat::requantize_nearest`]) stays free of an `f64` divide.
     #[inline]
     pub fn resolution(&self) -> f64 {
-        1.0 / (1i64 << self.frac_bits) as f64
+        f64::from_bits((1023 - u64::from(self.frac_bits)) << 52)
     }
 
     /// Worst-case absolute quantization error `mode` can introduce on an
@@ -243,6 +248,15 @@ mod tests {
         assert_eq!(q.max_value(), 7.75);
         assert_eq!(q.min_value(), -8.0);
         assert_eq!(q.resolution(), 0.25);
+    }
+
+    #[test]
+    fn resolution_is_the_exact_reciprocal_power_of_two() {
+        for frac_bits in 0..=62 {
+            let q = QFormat::new(62 - frac_bits, frac_bits).unwrap();
+            let want = 1.0 / (1i64 << frac_bits) as f64;
+            assert_eq!(q.resolution().to_bits(), want.to_bits(), "Q.{frac_bits}");
+        }
     }
 
     #[test]

@@ -269,13 +269,14 @@ impl TableExp {
         if x >= 0.0 {
             return 0;
         }
-        let k = (-x / self.step).floor();
-        // NaN compares false here and casts to 0 below — the same entry-0
-        // read the scalar path performs (`NaN as usize` saturates to 0).
-        if k >= 255.0 {
+        // `q` is ≥ 0 or NaN here, so `q ≥ 255 ⟺ floor(q) ≥ 255` and the
+        // truncating cast below is the floor. NaN compares false and casts
+        // to 0 — the same entry-0 read the scalar path performs.
+        let q = -x / self.step;
+        if q >= 255.0 {
             255
         } else {
-            k as u8
+            q as u8
         }
     }
 
@@ -344,11 +345,15 @@ impl ExpKernel for TableExp {
             // cannot occur in-circuit, so saturate at entry 0.
             return self.entries[0];
         }
-        let k = (-x / self.step).floor();
-        if k >= self.entries.len() as f64 {
+        // `q` is ≥ 0 or NaN here, so `q ≥ len ⟺ floor(q) ≥ len` and the
+        // truncating cast is the floor; NaN compares false and casts to 0
+        // (entry 0). The divide stays: it keeps non-power-of-two steps
+        // exact.
+        let q = -x / self.step;
+        if q >= self.entries.len() as f64 {
             0.0
         } else {
-            self.entries[k as usize]
+            self.entries[q as usize]
         }
     }
 

@@ -136,6 +136,9 @@ pub struct LogFusion<L, E> {
     log: L,
     exp: E,
     acc_fmt: QFormat,
+    /// Whether each log output needs its accumulator-bus requantization;
+    /// false when [`LogFusion::new`] proved that step is the identity.
+    requantize_logs: bool,
     pipelines: usize,
     dynorm: bool,
 }
@@ -160,10 +163,18 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
             acc_fmt.int_bits() + acc_fmt.frac_bits() <= 52,
             "accumulator bus must fit an f64 mantissa"
         );
+        // A log output format no wider than the bus on either side puts
+        // every output on the bus grid and inside the bus range, so the
+        // bus snap returns it unchanged (log kernels never emit -0.0 or
+        // NaN, the two values the snap would rewrite).
+        let requantize_logs = !log.output_format().is_some_and(|out| {
+            out.int_bits() <= acc_fmt.int_bits() && out.frac_bits() <= acc_fmt.frac_bits()
+        });
         Self {
             log,
             exp,
             acc_fmt,
+            requantize_logs,
             pipelines,
             dynorm: true,
         }
@@ -180,10 +191,11 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
     /// `(numerators, denominators)` row, with no copy of the factors.
     ///
     /// Stage `log` looks up every factor, row by row and numerators
-    /// first, and quantizes it onto the accumulator bus. Stage `normalize`
-    /// sums each row's logs on the bus, `Σ log a_i − Σ log b_j`, saturating
-    /// after every add exactly as a fixed-point adder would. DyNorm and the
-    /// exp kernel follow.
+    /// first, and quantizes it onto the accumulator bus — a step skipped
+    /// when the log kernel's output format already fits the bus, where it
+    /// is the identity. Stage `normalize` sums each row's logs on the bus,
+    /// `Σ log a_i − Σ log b_j`, saturating after every add exactly as a
+    /// fixed-point adder would. DyNorm and the exp kernel follow.
     ///
     /// `work` holds the log-domain accumulator values between accumulation
     /// and the exp stage; `probs` receives the output vector. Both are
@@ -217,7 +229,12 @@ impl<L: LogKernel, E: ExpKernel> LogFusion<L, E> {
         let mut slots = logs.iter_mut();
         for (num, den) in rows.clone() {
             for (&x, slot) in num.iter().chain(den).zip(slots.by_ref()) {
-                *slot = bus.requantize_nearest(self.log.log(x));
+                *slot = self.log.log(x);
+            }
+        }
+        if self.requantize_logs {
+            for l in logs.iter_mut() {
+                *l = bus.requantize_nearest(*l);
             }
         }
         let t1 = lap(&mut phases, t0, |p| &mut p.log_ns);
@@ -484,6 +501,24 @@ mod tests {
             FactorExpr::ratio(vec![1.0], vec![0.0]).reference_value(),
             0.0
         );
+    }
+
+    #[test]
+    fn bus_requantization_is_skipped_only_when_provably_the_identity() {
+        let q7_8 = QFormat::new(7, 8).unwrap();
+        let table = |size, bit, bus| {
+            LogFusion::new(TableLog::new(size, bit), FloatExp::new(), bus, 1).requantize_logs
+        };
+        // Q15.8 outputs sit on the Q15.16 grid and inside its range.
+        assert!(!table(64, 8, acc()));
+        // Q15.32 outputs are finer than the Q15.16 grid.
+        assert!(table(1024, 32, acc()));
+        // Q15.8 outputs overflow the Q7.8 range.
+        assert!(table(64, 8, q7_8));
+        // The float reference promises no output grid at all.
+        for bus in [acc(), q7_8] {
+            assert!(LogFusion::new(FloatLog::new(), FloatExp::new(), bus, 1).requantize_logs);
+        }
     }
 
     #[test]

@@ -25,6 +25,15 @@ pub trait LogKernel {
     /// kernels. Subnormal inputs are ordinary positive inputs.
     fn log(&self, x: f64) -> f64;
 
+    /// The fixed-point format every output of [`LogKernel::log`] lies in
+    /// (on its grid, inside its range, and never `-0.0` or NaN), or `None`
+    /// when the outputs are not confined to one (the float reference).
+    /// [`crate::fusion::LogFusion`] uses it to prove that its
+    /// accumulator-bus requantization of each output is the identity.
+    fn output_format(&self) -> Option<QFormat> {
+        None
+    }
+
     /// Latency of one evaluation in cycles.
     fn latency_cycles(&self) -> u64;
 
@@ -105,6 +114,10 @@ impl LogKernel for FixedLog {
         let poly = t - t * t / 2.0 + t.powi(3) / 3.0 - t.powi(4) / 4.0 + t.powi(5) / 5.0;
         let val = e * std::f64::consts::LN_2 + poly;
         Fixed::from_f64(val, self.fmt, Rounding::Nearest).to_f64()
+    }
+
+    fn output_format(&self) -> Option<QFormat> {
+        Some(self.fmt)
     }
 
     fn latency_cycles(&self) -> u64 {
@@ -229,6 +242,10 @@ impl LogKernel for TableLog {
         } else {
             self.log_reference(x)
         }
+    }
+
+    fn output_format(&self) -> Option<QFormat> {
+        Some(self.out_fmt)
     }
 
     fn latency_cycles(&self) -> u64 {

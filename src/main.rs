@@ -91,26 +91,41 @@ impl RunArgs {
     }
 }
 
-/// Parse a pipeline spec string.
+/// Parse a pipeline spec string, rejecting the sizes and widths the
+/// pipeline constructors would panic on: `fixed` datapaths take 1..=46
+/// fractional bits, `coopmc` tables at least one entry of 1..=52 bits.
 fn parse_pipeline(spec: &str) -> Result<PipelineConfig, String> {
+    let bits_in = |bits: &str, range: std::ops::RangeInclusive<u32>| {
+        bits.parse::<u32>()
+            .ok()
+            .filter(|b| range.contains(b))
+            .ok_or_else(|| {
+                format!(
+                    "bad bits in '{spec}' (expected {}..={})",
+                    range.start(),
+                    range.end()
+                )
+            })
+    };
     if spec == "float32" {
         return Ok(PipelineConfig::float32());
     }
     if let Some(bits) = spec.strip_prefix("fixed+dn:") {
-        let b: u32 = bits.parse().map_err(|_| format!("bad bits in '{spec}'"))?;
-        return Ok(PipelineConfig::fixed_dynorm(b));
+        return Ok(PipelineConfig::fixed_dynorm(bits_in(bits, 1..=46)?));
     }
     if let Some(bits) = spec.strip_prefix("fixed:") {
-        let b: u32 = bits.parse().map_err(|_| format!("bad bits in '{spec}'"))?;
-        return Ok(PipelineConfig::fixed(b));
+        return Ok(PipelineConfig::fixed(bits_in(bits, 1..=46)?));
     }
     if let Some(rest) = spec.strip_prefix("coopmc:") {
         let (size, bits) = rest
             .split_once('x')
             .ok_or_else(|| format!("expected coopmc:<size>x<bits>, got '{spec}'"))?;
-        let s: usize = size.parse().map_err(|_| format!("bad size in '{spec}'"))?;
-        let b: u32 = bits.parse().map_err(|_| format!("bad bits in '{spec}'"))?;
-        return Ok(PipelineConfig::coopmc(s, b));
+        let s: usize = size
+            .parse()
+            .ok()
+            .filter(|&s| s > 0)
+            .ok_or_else(|| format!("bad size in '{spec}' (expected a positive entry count)"))?;
+        return Ok(PipelineConfig::coopmc(s, bits_in(bits, 1..=52)?));
     }
     Err(format!(
         "unknown pipeline '{spec}' (try float32, fixed:8, fixed+dn:8, coopmc:64x8)"
@@ -656,9 +671,30 @@ mod tests {
             parse_pipeline("coopmc:64x8").unwrap(),
             PipelineConfig::coopmc(64, 8)
         );
+        assert_eq!(
+            parse_pipeline("coopmc:64x50").unwrap(),
+            PipelineConfig::coopmc(64, 50)
+        );
         assert!(parse_pipeline("magic").is_err());
         assert!(parse_pipeline("coopmc:64").is_err());
         assert!(parse_pipeline("fixed:x").is_err());
+        // Sizes and widths the constructors reject are usage errors.
+        for spec in [
+            "coopmc:64x0",
+            "coopmc:0x8",
+            "coopmc:64x53",
+            "coopmc:64x60",
+            "fixed:0",
+            "fixed:47",
+            "fixed:60",
+            "fixed+dn:0",
+            "fixed+dn:60",
+        ] {
+            assert!(parse_pipeline(spec).is_err(), "{spec}");
+        }
+        for spec in ["coopmc:1x1", "coopmc:64x52", "fixed:46", "fixed+dn:1"] {
+            parse_pipeline(spec).unwrap().build();
+        }
     }
 
     #[test]
