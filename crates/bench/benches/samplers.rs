@@ -15,23 +15,18 @@ fn bench_samplers(h: &Harness) {
     for n in [4usize, 16, 64, 128] {
         let probs: Vec<f64> = (1..=n).map(|i| i as f64).collect();
 
+        // Every draw goes through a caller-held scratch: the warm Gibbs-loop
+        // cost.
+        let mut scratch = SampleScratch::new();
         let s = SequentialSampler::new();
         let mut rng = SplitMix64::new(1);
         h.run(&format!("sampler_draw/sequential/{n}"), || {
-            s.sample(black_box(&probs), &mut rng)
+            s.sample_into(black_box(&probs), &mut rng, &mut scratch)
         });
 
         let s = TreeSampler::new();
         let mut rng = SplitMix64::new(1);
         h.run(&format!("sampler_draw/tree/{n}"), || {
-            s.sample(black_box(&probs), &mut rng)
-        });
-
-        // tree sampler with a caller-held scratch: the warm Gibbs-loop cost
-        let s = TreeSampler::new();
-        let mut rng = SplitMix64::new(1);
-        let mut scratch = SampleScratch::new();
-        h.run(&format!("sampler_draw/tree_scratch/{n}"), || {
             s.sample_into(black_box(&probs), &mut rng, &mut scratch)
         });
 
@@ -39,7 +34,7 @@ fn bench_samplers(h: &Harness) {
         let s = AliasSampler::new();
         let mut rng = SplitMix64::new(1);
         h.run(&format!("sampler_draw/alias_rebuild/{n}"), || {
-            s.sample(black_box(&probs), &mut rng)
+            s.sample_into(black_box(&probs), &mut rng, &mut scratch)
         });
 
         // alias method: amortized draws from a static distribution

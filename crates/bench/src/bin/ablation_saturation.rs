@@ -10,6 +10,7 @@
 
 use coopmc_bench::harness::{Cell, Report, Table};
 use coopmc_bench::seeds;
+use coopmc_core::engine::GibbsEngine;
 use coopmc_core::experiments::mrf_golden;
 use coopmc_core::pipeline::{PgOutput, ProbabilityPipeline};
 use coopmc_fixed::{Fixed, QFormat, Rounding};
@@ -21,7 +22,7 @@ use coopmc_models::metrics::normalized_mse;
 use coopmc_models::mrf::image_restoration;
 use coopmc_models::{GibbsModel, LabelScore};
 use coopmc_rng::SplitMix64;
-use coopmc_sampler::{Sampler, TreeSampler};
+use coopmc_sampler::TreeSampler;
 
 /// A PG pipeline with a configurable-overflow accumulator: quantizes the
 /// incoming log-domain score onto a narrow grid with either saturating or
@@ -87,29 +88,22 @@ impl ProbabilityPipeline for NarrowAccPipeline {
     }
 }
 
-fn run(
-    pipeline: &dyn ProbabilityPipeline,
+/// Run the Gibbs chain for 25 sweeps and return the mean NMSE of sweeps
+/// 19–25 (the converged tail).
+fn run<P: ProbabilityPipeline>(
+    pipeline: P,
     app: &coopmc_models::mrf::MrfApp,
     golden: &[usize],
 ) -> f64 {
     let untrained = app.mrf.labels();
     let mut model = app.mrf.clone();
-    let sampler = TreeSampler::new();
-    let mut rng = SplitMix64::new(seeds::CHAIN);
-    let mut scores = Vec::new();
-    let mut pg = PgOutput::new();
+    let mut engine = GibbsEngine::new(pipeline, TreeSampler::new(), SplitMix64::new(seeds::CHAIN));
     let mut tail = Vec::new();
-    for sweep in 0..25 {
-        for var in 0..model.num_variables() {
-            model.scores(var, &mut scores);
-            pipeline.generate_into(&scores, &mut pg);
-            let label = sampler.sample(&pg.probs, &mut rng).label;
-            model.update(var, label);
-        }
-        if sweep >= 18 {
+    engine.run_observed(&mut model, 25, |iteration, model| {
+        if iteration >= 19 {
             tail.push(normalized_mse(&model.labels(), golden, &untrained));
         }
-    }
+    });
     tail.iter().sum::<f64>() / tail.len() as f64
 }
 
@@ -132,7 +126,7 @@ fn main() {
     ] {
         for wrap in [false, true] {
             let p = NarrowAccPipeline::new(int_bits, 4, wrap);
-            let nmse = run(&p, &app, &golden);
+            let nmse = run(p, &app, &golden);
             table.row(vec![
                 Cell::text(format!(
                     "{label} {}",

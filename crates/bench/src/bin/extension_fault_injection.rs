@@ -17,7 +17,7 @@ use coopmc_models::metrics::normalized_mse;
 use coopmc_models::mrf::stereo_matching;
 use coopmc_models::{GibbsModel, LabelScore};
 use coopmc_rng::SplitMix64;
-use coopmc_sampler::{Sampler, TreeSampler};
+use coopmc_sampler::{SampleScratch, Sampler, TreeSampler};
 
 /// Run Gibbs with faults injected into every probability vector between PG
 /// and SD; returns the converged normalized MSE.
@@ -34,15 +34,16 @@ fn run_with_faults(
     let mut fault_rng = SplitMix64::new(seeds::CHAIN ^ 0xFA17);
     let mut scores: Vec<LabelScore> = Vec::new();
     let mut pg = PgOutput::new();
+    let mut scratch = SampleScratch::new();
     let mut tail = Vec::new();
     for sweep in 0..30 {
         for var in 0..model.num_variables() {
-            model.scores(var, &mut scores);
+            model.scores_into(var, &mut scores);
             pipeline.generate_into(&scores, &mut pg);
             if let Some(inj) = &injector {
                 inj.corrupt_vector(&mut pg.probs, &mut fault_rng);
             }
-            let label = sampler.sample(&pg.probs, &mut rng).label;
+            let label = sampler.sample_into(&pg.probs, &mut rng, &mut scratch).label;
             model.update(var, label);
         }
         if sweep >= 22 {

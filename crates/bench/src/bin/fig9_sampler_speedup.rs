@@ -4,7 +4,7 @@
 
 use coopmc_bench::harness::{Cell, Report, Table};
 use coopmc_rng::SplitMix64;
-use coopmc_sampler::{Sampler, SequentialSampler, TreeSampler};
+use coopmc_sampler::{SampleScratch, Sampler, SequentialSampler, TreeSampler};
 
 fn main() {
     let mut report = Report::new(
@@ -33,9 +33,10 @@ fn main() {
     let mut total_seq = 0u64;
     let mut total_tree = 0u64;
     let mut rng = SplitMix64::new(7);
+    let mut scratch = SampleScratch::new();
     for _ in 0..10_000 {
-        total_seq += seq.sample(&probs, &mut rng).cycles;
-        total_tree += tree.sample(&probs, &mut rng).cycles;
+        total_seq += seq.sample_into(&probs, &mut rng, &mut scratch).cycles;
+        total_tree += tree.sample_into(&probs, &mut rng, &mut scratch).cycles;
     }
     let mut check = Table::titled(
         "cross-check over 10,000 draws at 64 labels:",

@@ -51,7 +51,7 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
             return false;
         }
         model.begin_resample(var);
-        model.scores(var, &mut self.scores);
+        model.scores_into(var, &mut self.scores);
         self.pipeline.generate_into(&self.scores, &mut self.pg);
         let pg = &self.pg;
         stats.ops.merge(&pg.ops);
@@ -72,27 +72,40 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
         accept
     }
 
-    /// One full sweep; returns the acceptance rate.
-    pub fn sweep(&mut self, model: &mut dyn GibbsModel, stats: &mut RunStats) -> f64 {
-        let n = model.num_variables();
-        let mut accepted = 0usize;
-        for var in 0..n {
-            if self.step(model, var, stats) {
-                accepted += 1;
-            }
+    /// One sweep's `(accepted, proposed)` counts; clamped variables are
+    /// never proposed. A rate is `accepted / proposed.max(1)`: `0.0` when
+    /// nothing was proposed (then nothing was accepted either).
+    fn sweep_counts(&mut self, model: &mut dyn GibbsModel, stats: &mut RunStats) -> (u64, u64) {
+        let (mut accepted, mut proposed) = (0, 0);
+        for var in 0..model.num_variables() {
+            proposed += u64::from(!model.is_clamped(var));
+            accepted += u64::from(self.step(model, var, stats));
         }
         stats.iterations += 1;
-        accepted as f64 / n as f64
+        (accepted, proposed)
     }
 
-    /// Run `iterations` sweeps; returns the mean acceptance rate.
+    /// One full sweep; returns the acceptance rate: accepted proposals over
+    /// the unclamped variables visited, or `0.0` if every variable is
+    /// clamped (nothing was proposed).
+    pub fn sweep(&mut self, model: &mut dyn GibbsModel, stats: &mut RunStats) -> f64 {
+        let (accepted, proposed) = self.sweep_counts(model, stats);
+        accepted as f64 / proposed.max(1) as f64
+    }
+
+    /// Run `iterations` sweeps; returns the acceptance rate over the whole
+    /// run: accepted proposals over unclamped variables visited, or `0.0`
+    /// if nothing was proposed (`iterations == 0`, or every variable
+    /// clamped).
     pub fn run(&mut self, model: &mut dyn GibbsModel, iterations: u64) -> (RunStats, f64) {
         let mut stats = RunStats::default();
-        let mut acc = 0.0;
+        let (mut accepted, mut proposed) = (0, 0);
         for _ in 0..iterations {
-            acc += self.sweep(model, &mut stats);
+            let (a, p) = self.sweep_counts(model, &mut stats);
+            accepted += a;
+            proposed += p;
         }
-        (stats, acc / iterations as f64)
+        (stats, accepted as f64 / proposed.max(1) as f64)
     }
 }
 
@@ -112,7 +125,7 @@ pub fn icm_sweep<P: ProbabilityPipeline>(model: &mut dyn GibbsModel, pipeline: &
             continue;
         }
         model.begin_resample(var);
-        model.scores(var, &mut scores);
+        model.scores_into(var, &mut scores);
         pipeline.generate_into(&scores, &mut pg);
         let best = pg
             .probs
@@ -247,6 +260,63 @@ mod tests {
     }
 
     #[test]
+    fn acceptance_rate_of_zero_iterations_is_zero() {
+        let mut net = earthquake();
+        let mut mh = MetropolisEngine::new(FloatPipeline::new(), SplitMix64::new(3));
+        let (stats, acc) = mh.run(&mut net, 0);
+        assert_eq!(stats.iterations, 0);
+        assert_eq!(acc, 0.0);
+    }
+
+    #[test]
+    fn acceptance_rate_with_every_variable_clamped_is_zero() {
+        let mut net = earthquake();
+        for var in 0..net.num_variables() {
+            net.set_evidence(var, 0);
+        }
+        let mut mh = MetropolisEngine::new(FloatPipeline::new(), SplitMix64::new(3));
+        let mut stats = RunStats::default();
+        assert_eq!(mh.sweep(&mut net, &mut stats), 0.0);
+        let (stats, acc) = mh.run(&mut net, 5);
+        assert_eq!((stats.updates, acc), (0, 0.0));
+    }
+
+    #[test]
+    fn acceptance_rate_counts_only_unclamped_variables() {
+        // EARTHQUAKE has 5 nodes; with one clamped, a sweep proposes 4.
+        let mut net = earthquake();
+        net.set_evidence(4, 1);
+        let mut mh = MetropolisEngine::new(FloatPipeline::new(), SplitMix64::new(11));
+        let (mut total_accepted, mut total_proposed) = (0u32, 0u32);
+        let mut stats = RunStats::default();
+        for _ in 0..40 {
+            // Hand count on a clone of the engine and the model: the same
+            // chain, stepped one variable at a time.
+            let (mut hand, mut hand_net) = (mh.clone(), net.clone());
+            let (mut accepted, mut proposed) = (0u32, 0u32);
+            for var in 0..hand_net.num_variables() {
+                if !hand_net.is_clamped(var) {
+                    proposed += 1;
+                    accepted += u32::from(hand.step(&mut hand_net, var, &mut stats));
+                }
+            }
+            assert_eq!(proposed, 4);
+            let rate = mh.sweep(&mut net, &mut stats);
+            assert_eq!(rate, f64::from(accepted) / 4.0);
+            assert_eq!(net.labels(), hand_net.labels());
+            total_accepted += accepted;
+            total_proposed += proposed;
+        }
+        assert!(total_accepted > 0, "the hand count must see acceptances");
+        // The whole-run rate is the pooled ratio over the same chain.
+        let mut net = earthquake();
+        net.set_evidence(4, 1);
+        let mut mh = MetropolisEngine::new(FloatPipeline::new(), SplitMix64::new(11));
+        let (_, acc) = mh.run(&mut net, 40);
+        assert_eq!(acc, f64::from(total_accepted) / f64::from(total_proposed));
+    }
+
+    #[test]
     fn icm_is_deterministic_and_monotone() {
         let mut app = image_segmentation(24, 20, 6);
         let pipeline = FloatPipeline::new();
@@ -282,7 +352,7 @@ mod tests {
             3
         }
 
-        fn scores(&self, _var: usize, out: &mut Vec<LabelScore>) {
+        fn scores_into(&self, _var: usize, out: &mut Vec<LabelScore>) {
             out.clear();
             out.extend(self.scores.iter().map(|&v| LabelScore::LogDomain(v)));
         }

@@ -6,7 +6,8 @@
 //! (engine score/PG/sampler buffers, per-thread pipeline scratch), a full
 //! sweep must allocate **nothing**. The CoopMC pipeline's factor path
 //! (LogFusion over borrowed factor rows) is held to the same guarantee on
-//! LDA and on a Bayesian network.
+//! LDA and on a Bayesian network, under both the Gibbs engine and the
+//! Metropolis–Hastings driver.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrently running sibling test would pollute
@@ -19,6 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use coopmc_core::engine::{GibbsEngine, RunStats};
+use coopmc_core::metropolis::MetropolisEngine;
 use coopmc_core::pipeline::{FixedPipeline, PipelineConfig};
 use coopmc_models::bn::asia;
 use coopmc_models::lda::{synthetic_corpus, CorpusSpec, Lda};
@@ -154,5 +156,31 @@ fn warm_steady_state_sweep_allocates_nothing() {
             "a warm CoopMC {name} sweep must not touch the heap ({allocs} allocations observed)"
         );
         assert!(stats.ops.log_lut > 0, "{name} must run the factor path");
+
+        // Metropolis–Hastings gathers through the same in-place call. A
+        // proposal equal to the current label skips the gather, so warm up
+        // over several sweeps until every variable's rows have been built.
+        let mut mh =
+            MetropolisEngine::new(PipelineConfig::coopmc(64, 8).build(), SplitMix64::new(7));
+        let mut stats = RunStats::default();
+        for _ in 0..8 {
+            mh.sweep(model, &mut stats);
+        }
+        let warm_ops = stats.ops.log_lut;
+
+        ALLOCS.store(0, Ordering::SeqCst);
+        ARMED.store(true, Ordering::SeqCst);
+        mh.sweep(model, &mut stats);
+        ARMED.store(false, Ordering::SeqCst);
+
+        let allocs = ALLOCS.load(Ordering::SeqCst);
+        assert_eq!(
+            allocs, 0,
+            "a warm CoopMC {name} MH sweep must not touch the heap ({allocs} allocations observed)"
+        );
+        assert!(
+            stats.ops.log_lut > warm_ops,
+            "{name} MH sweep must run the factor path"
+        );
     }
 }

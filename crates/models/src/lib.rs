@@ -72,6 +72,40 @@ impl LabelScore {
     }
 }
 
+/// An empty factor row.
+const EMPTY_FACTORS: LabelScore = LabelScore::Factors {
+    numerators: Vec::new(),
+    denominators: Vec::new(),
+};
+
+/// Resize `out` to `n` [`LabelScore::Factors`] rows and hand each row's
+/// cleared `(numerators, denominators)` to `fill(label, ..)`.
+///
+/// Rows already holding `Factors` keep their inner vectors, so refilling a
+/// warm buffer allocates nothing; any other slot is replaced.
+pub(crate) fn fill_factor_rows(
+    out: &mut Vec<LabelScore>,
+    n: usize,
+    mut fill: impl FnMut(usize, &mut Vec<f64>, &mut Vec<f64>),
+) {
+    out.truncate(n);
+    out.resize_with(n, || EMPTY_FACTORS);
+    for (label, slot) in out.iter_mut().enumerate() {
+        if !matches!(slot, LabelScore::Factors { .. }) {
+            *slot = EMPTY_FACTORS;
+        }
+        if let LabelScore::Factors {
+            numerators,
+            denominators,
+        } = slot
+        {
+            numerators.clear();
+            denominators.clear();
+            fill(label, numerators, denominators);
+        }
+    }
+}
+
 /// A model that can be trained by single-site Gibbs sampling through the
 /// three-step PG → SD → PU flow of the paper (§III, Fig. 1).
 pub trait GibbsModel {
@@ -95,23 +129,15 @@ pub trait GibbsModel {
     }
 
     /// Fill `out` with one [`LabelScore`] per label of `var`, given the
-    /// current state of every other variable (the PG input).
-    fn scores(&self, var: usize, out: &mut Vec<LabelScore>);
-
-    /// Like [`GibbsModel::scores`], but allowed to **recycle the existing
-    /// contents of `out`** — in particular the inner numerator/denominator
-    /// vectors of [`LabelScore::Factors`] entries left over from a previous
-    /// call — instead of rebuilding them.
+    /// current state of every other variable (the PG input, gathered in
+    /// place).
     ///
-    /// The result must be identical to `scores`; only allocation behaviour
-    /// may differ. The engine's hot path calls this with a long-lived
-    /// buffer, so models whose `scores` builds per-label `Factors` should
-    /// override it to be allocation-free in steady state. The default
-    /// simply delegates to `scores` (already allocation-free for log-domain
-    /// models such as the grid MRF).
-    fn scores_into(&self, var: usize, out: &mut Vec<LabelScore>) {
-        self.scores(var, out);
-    }
+    /// The result is the same whatever `out` holds on entry: the call
+    /// overwrites every slot and leaves exactly `num_labels(var)` of them.
+    /// It may recycle what it finds there, in particular the inner
+    /// numerator/denominator vectors of [`LabelScore::Factors`] rows, so a
+    /// buffer warmed by earlier calls makes the gather allocation-free.
+    fn scores_into(&self, var: usize, out: &mut Vec<LabelScore>);
 
     /// Commit the sampled label for `var` (the PU step).
     fn update(&mut self, var: usize, label: usize);

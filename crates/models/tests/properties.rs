@@ -77,7 +77,7 @@ fn mrf_scores_are_valid_log_domain() {
         let mrf = arb_grid(g);
         let var = g.index(mrf.num_variables());
         let mut out = Vec::new();
-        mrf.scores(var, &mut out);
+        mrf.scores_into(var, &mut out);
         assert_eq!(out.len(), mrf.num_labels(var));
         for s in &out {
             match s {
@@ -147,12 +147,13 @@ fn lda_counts_conserved() {
     });
 }
 
-/// `scores_into` (the buffer-recycling hot-path API) produces exactly what
-/// `scores` produces, for every model family, even when the output buffer
-/// holds stale entries from a different variable or model.
+/// Whatever a reused buffer holds on entry (stale rows of another
+/// variable, another model family or another label count) is invisible:
+/// `scores_into` into one dirty buffer equals `scores_into` into a fresh
+/// `Vec`, for every variable of every model family.
 #[test]
-fn scores_into_matches_scores() {
-    check("scores_into_matches_scores", 48, |g| {
+fn scores_into_ignores_stale_buffer_contents() {
+    check("scores_into_ignores_stale_buffer_contents", 48, |g| {
         let mrf = arb_grid(g);
         let bn = coopmc_models::bn::asia();
         let corpus = synthetic_corpus(&CorpusSpec {
@@ -165,16 +166,24 @@ fn scores_into_matches_scores() {
         });
         let mut lda = Lda::new(&corpus, 3, 0.5, 0.1);
         lda.randomize_topics(g.u64());
-        let models: Vec<&dyn GibbsModel> = vec![&mrf, &bn, &lda];
-        // One reused (deliberately dirty) buffer across all models/vars.
-        let mut recycled = Vec::new();
+        // One deliberately dirty buffer, reused across every model and
+        // variable: log-domain → factor rows → longer and shorter factor
+        // rows → log-domain again.
+        let mut dirty = vec![
+            LabelScore::LogDomain(f64::NAN),
+            LabelScore::Factors {
+                numerators: vec![7.0; 5],
+                denominators: vec![3.0],
+            },
+        ];
+        dirty.resize(g.usize_in(0, 12), LabelScore::LogDomain(-1.0));
+        let models: [&dyn GibbsModel; 4] = [&mrf, &bn, &lda, &mrf];
         for m in models {
-            for _ in 0..6 {
-                let var = g.index(m.num_variables());
+            for var in 0..m.num_variables() {
                 let mut fresh = Vec::new();
-                m.scores(var, &mut fresh);
-                m.scores_into(var, &mut recycled);
-                assert_eq!(fresh, recycled);
+                m.scores_into(var, &mut fresh);
+                m.scores_into(var, &mut dirty);
+                assert_eq!(fresh, dirty, "var {var}");
             }
         }
     });
@@ -195,7 +204,7 @@ fn lda_scores_are_positive_factors() {
         let tok = g.index(lda.num_variables());
         lda.begin_resample(tok);
         let mut out = Vec::new();
-        lda.scores(tok, &mut out);
+        lda.scores_into(tok, &mut out);
         lda.update(tok, 0);
         assert_eq!(out.len(), 4);
         for s in &out {

@@ -10,7 +10,7 @@
 
 use coopmc_rng::HwRng;
 
-use crate::{uniform_fallback, validate, SampleResult, Sampler};
+use crate::{uniform_fallback, validate, SampleResult, SampleScratch, Sampler};
 
 /// A built alias table over a fixed distribution.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,7 +121,12 @@ impl AliasSampler {
 }
 
 impl Sampler for AliasSampler {
-    fn sample(&self, probs: &[f64], rng: &mut dyn HwRng) -> SampleResult {
+    fn sample_into(
+        &self,
+        probs: &[f64],
+        rng: &mut dyn HwRng,
+        _scratch: &mut SampleScratch,
+    ) -> SampleResult {
         let total = validate(probs);
         if total == 0.0 {
             return SampleResult {
@@ -211,7 +216,7 @@ mod tests {
     fn sampler_interface_works_and_charges_build_cost() {
         let s = AliasSampler::new();
         let mut rng = SplitMix64::new(3);
-        let r = s.sample(&[0.5, 0.5], &mut rng);
+        let r = s.sample_into(&[0.5, 0.5], &mut rng, &mut SampleScratch::new());
         assert!(r.label < 2);
         assert_eq!(s.latency_cycles(64), 3 * 64 + 2);
         assert_eq!(r.cycles, 8);

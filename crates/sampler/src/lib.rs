@@ -23,14 +23,15 @@
 //!
 //! ```
 //! use coopmc_rng::SplitMix64;
-//! use coopmc_sampler::{Sampler, TreeSampler};
+//! use coopmc_sampler::{SampleScratch, Sampler, TreeSampler};
 //!
 //! let sampler = TreeSampler::new();
 //! let mut rng = SplitMix64::new(7);
+//! let mut scratch = SampleScratch::new();
 //! let probs = [0.1, 0.7, 0.2];
-//! let result = sampler.sample(&probs, &mut rng);
+//! let result = sampler.sample_into(&probs, &mut rng, &mut scratch);
 //! assert!(result.label < 3);
-//! assert_eq!(result.cycles, 2 * 2 + 3); // 2·⌈log₂(padded 4)⌉? see docs
+//! assert_eq!(result.cycles, 2 * 2 + 3); // 2·⌈log₂ 3⌉ + 3
 //! ```
 
 mod alias;
@@ -89,34 +90,23 @@ impl SampleScratch {
 /// back to a uniform random label, matching the paper's description of that
 /// degenerate regime.
 pub trait Sampler {
-    /// Draw one label from `probs` using `rng` for the threshold.
+    /// Draw one label from `probs` using `rng` for the threshold, reusing
+    /// `scratch` for any per-draw working memory.
+    ///
+    /// The draw depends only on `probs` and the RNG state, never on what
+    /// `scratch` holds; a warmed scratch makes it allocation-free.
+    /// Samplers that need no working memory ignore it.
     ///
     /// # Panics
     ///
     /// Panics if `probs` is empty or contains a negative or non-finite
     /// weight.
-    fn sample(&self, probs: &[f64], rng: &mut dyn HwRng) -> SampleResult;
-
-    /// Draw one label, reusing `scratch` for any per-draw working memory.
-    ///
-    /// Statistically and bit-for-bit identical to [`Sampler::sample`] under
-    /// the same RNG state; the only difference is allocation behaviour —
-    /// a warmed scratch makes the draw allocation-free. The default
-    /// implementation simply delegates to `sample` (correct for samplers
-    /// that need no working memory).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Sampler::sample`].
     fn sample_into(
         &self,
         probs: &[f64],
         rng: &mut dyn HwRng,
         scratch: &mut SampleScratch,
-    ) -> SampleResult {
-        let _ = scratch;
-        self.sample(probs, rng)
-    }
+    ) -> SampleResult;
 
     /// Draw one label per `width`-wide row of a row-major batch of
     /// probability vectors (the SD half of the batched color-class path),
@@ -169,7 +159,7 @@ pub trait Sampler {
     ///
     /// # Panics
     ///
-    /// Same contract as [`Sampler::sample`]; additionally `t` must be in
+    /// Same contract as [`Sampler::sample_into`]; additionally `t` must be in
     /// `[0, total)`.
     fn sample_with_threshold(&self, probs: &[f64], t: f64) -> SampleResult;
 
@@ -187,10 +177,6 @@ pub trait Sampler {
 }
 
 impl<S: Sampler + ?Sized> Sampler for Box<S> {
-    fn sample(&self, probs: &[f64], rng: &mut dyn HwRng) -> SampleResult {
-        (**self).sample(probs, rng)
-    }
-
     fn sample_into(
         &self,
         probs: &[f64],
@@ -288,9 +274,10 @@ mod tests {
     fn zero_weight_labels_are_never_selected() {
         let probs = [0.0, 0.4, 0.0, 0.6, 0.0];
         let mut rng = SplitMix64::new(11);
+        let mut scratch = SampleScratch::new();
         for s in samplers() {
             for _ in 0..500 {
-                let l = s.sample(&probs, &mut rng).label;
+                let l = s.sample_into(&probs, &mut rng, &mut scratch).label;
                 assert!(
                     l == 1 || l == 3,
                     "{} selected zero-weight label {l}",
@@ -305,9 +292,10 @@ mod tests {
         let probs = [0.0; 8];
         for s in samplers() {
             let mut rng = SplitMix64::new(5);
+            let mut scratch = SampleScratch::new();
             let mut seen = [false; 8];
             for _ in 0..400 {
-                seen[s.sample(&probs, &mut rng).label] = true;
+                seen[s.sample_into(&probs, &mut rng, &mut scratch).label] = true;
             }
             assert!(
                 seen.iter().all(|&b| b),
@@ -324,9 +312,10 @@ mod tests {
         let draws = 40_000;
         for s in samplers() {
             let mut rng = SplitMix64::new(77);
+            let mut scratch = SampleScratch::new();
             let mut counts = [0u64; 4];
             for _ in 0..draws {
-                counts[s.sample(&probs, &mut rng).label] += 1;
+                counts[s.sample_into(&probs, &mut rng, &mut scratch).label] += 1;
             }
             let chi2: f64 = probs
                 .iter()
@@ -348,8 +337,9 @@ mod tests {
     #[test]
     fn single_label_distribution() {
         let mut rng = SplitMix64::new(1);
+        let mut scratch = SampleScratch::new();
         for s in samplers() {
-            assert_eq!(s.sample(&[3.0], &mut rng).label, 0);
+            assert_eq!(s.sample_into(&[3.0], &mut rng, &mut scratch).label, 0);
         }
     }
 
@@ -357,14 +347,14 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn empty_distribution_panics() {
         let mut rng = SplitMix64::new(1);
-        SequentialSampler::new().sample(&[], &mut rng);
+        SequentialSampler::new().sample_into(&[], &mut rng, &mut SampleScratch::new());
     }
 
     #[test]
     #[should_panic(expected = "invalid weight")]
     fn negative_weight_panics() {
         let mut rng = SplitMix64::new(1);
-        TreeSampler::new().sample(&[0.5, -0.1], &mut rng);
+        TreeSampler::new().sample_into(&[0.5, -0.1], &mut rng, &mut SampleScratch::new());
     }
 
     #[test]

@@ -2,9 +2,7 @@
 
 use coopmc_rng::HwRng;
 
-use crate::{
-    uniform_fallback, validate, SampleResult, SampleScratch, Sampler, TreeSampler, TreeSum,
-};
+use crate::{SampleResult, SampleScratch, Sampler, TreeSampler};
 
 /// TreeSampler with shift registers between corresponding TreeSum and
 /// TraverseTree layers (paper §III-D, last paragraph).
@@ -37,9 +35,10 @@ impl PipeTreeSampler {
     /// Panics if `batch` is empty or any distribution is invalid.
     pub fn sample_batch(&self, batch: &[&[f64]], rng: &mut dyn HwRng) -> (Vec<usize>, u64) {
         assert!(!batch.is_empty(), "batch must be non-empty");
+        let mut scratch = SampleScratch::new();
         let labels: Vec<usize> = batch
             .iter()
-            .map(|probs| self.sample(probs, rng).label)
+            .map(|probs| self.sample_into(probs, rng, &mut scratch).label)
             .collect();
         let n_max = batch.iter().map(|p| p.len()).max().unwrap();
         let cycles = self.latency_cycles(n_max) + (batch.len() as u64 - 1);
@@ -48,56 +47,19 @@ impl PipeTreeSampler {
 }
 
 impl Sampler for PipeTreeSampler {
-    fn sample(&self, probs: &[f64], rng: &mut dyn HwRng) -> SampleResult {
-        let total = validate(probs);
-        if total == 0.0 {
-            return SampleResult {
-                label: uniform_fallback(probs.len(), rng),
-                cycles: self.latency_cycles(probs.len()),
-                fallback: true,
-            };
-        }
-        let t = total * rng.next_f64();
-        self.sample_with_threshold(probs, t)
-    }
-
+    /// The same draw as [`TreeSampler`]: the shift registers change timing,
+    /// not the sampled label.
     fn sample_into(
         &self,
         probs: &[f64],
         rng: &mut dyn HwRng,
         scratch: &mut SampleScratch,
     ) -> SampleResult {
-        let total = validate(probs);
-        if total == 0.0 {
-            return SampleResult {
-                label: uniform_fallback(probs.len(), rng),
-                cycles: self.latency_cycles(probs.len()),
-                fallback: true,
-            };
-        }
-        let t = total * rng.next_f64();
-        scratch.tree.rebuild(probs);
-        let label = scratch.tree.traverse(t).min(probs.len() - 1);
-        SampleResult {
-            label,
-            cycles: self.latency_cycles(probs.len()),
-            fallback: false,
-        }
+        self.inner.sample_into(probs, rng, scratch)
     }
 
     fn sample_with_threshold(&self, probs: &[f64], t: f64) -> SampleResult {
-        let total = validate(probs);
-        assert!(
-            (0.0..total.max(f64::MIN_POSITIVE)).contains(&t),
-            "threshold out of range"
-        );
-        let tree = TreeSum::build(probs);
-        let label = tree.traverse(t).min(probs.len() - 1);
-        SampleResult {
-            label,
-            cycles: self.latency_cycles(probs.len()),
-            fallback: false,
-        }
+        self.inner.sample_with_threshold(probs, t)
     }
 
     fn latency_cycles(&self, n: usize) -> u64 {
@@ -159,6 +121,24 @@ mod tests {
             assert_eq!(
                 pipe.sample_with_threshold(&probs, t).label,
                 tree.sample_with_threshold(&probs, t).label
+            );
+        }
+    }
+
+    #[test]
+    fn identical_draws_to_tree_sampler_with_same_seed() {
+        let pipe = PipeTreeSampler::new();
+        let tree = TreeSampler::new();
+        let (mut rng_pipe, mut rng_tree) = (SplitMix64::new(17), SplitMix64::new(17));
+        let mut scratch = SampleScratch::new();
+        for k in 0..200 {
+            // Include an all-zero row so the uniform fallback is covered.
+            let probs: Vec<f64> = (0..5)
+                .map(|i| ((i * 7 + k) % 4) as f64 * (k % 9) as f64)
+                .collect();
+            assert_eq!(
+                pipe.sample_into(&probs, &mut rng_pipe, &mut scratch),
+                tree.sample_into(&probs, &mut rng_tree, &mut scratch)
             );
         }
     }

@@ -2,7 +2,7 @@
 
 use coopmc_rng::HwRng;
 
-use crate::{uniform_fallback, validate, SampleResult, Sampler};
+use crate::{uniform_fallback, validate, SampleResult, SampleScratch, Sampler};
 
 /// The iterative sampler of previous Gibbs accelerator designs (§III-D).
 ///
@@ -23,7 +23,12 @@ impl SequentialSampler {
 }
 
 impl Sampler for SequentialSampler {
-    fn sample(&self, probs: &[f64], rng: &mut dyn HwRng) -> SampleResult {
+    fn sample_into(
+        &self,
+        probs: &[f64],
+        rng: &mut dyn HwRng,
+        _scratch: &mut SampleScratch,
+    ) -> SampleResult {
         let total = validate(probs);
         if total == 0.0 {
             return SampleResult {

@@ -148,12 +148,6 @@ impl TreeSampler {
 }
 
 impl Sampler for TreeSampler {
-    fn sample(&self, probs: &[f64], rng: &mut dyn HwRng) -> SampleResult {
-        // Thin wrapper over the scratch-reusing hot path.
-        let mut scratch = SampleScratch::new();
-        self.sample_into(probs, rng, &mut scratch)
-    }
-
     fn sample_into(
         &self,
         probs: &[f64],
@@ -273,15 +267,17 @@ mod tests {
 
     #[test]
     fn sample_into_agrees_with_threshold_core() {
+        // ThresholdGen is `total · u`: replaying `u` from a cloned RNG and
+        // handing the threshold to the deterministic core gives the draw.
         let probs = [0.05, 0.3, 0.15, 0.25, 0.25];
+        let total: f64 = probs.iter().sum();
         let sampler = TreeSampler::new();
         let mut scratch = SampleScratch::new();
-        let mut rng_a = SplitMix64::new(99);
-        let mut rng_b = SplitMix64::new(99);
+        let mut rng = SplitMix64::new(99);
         for _ in 0..100 {
-            let a = sampler.sample(&probs, &mut rng_a);
-            let b = sampler.sample_into(&probs, &mut rng_b, &mut scratch);
-            assert_eq!(a, b);
+            let u = rng.clone().next_f64();
+            let want = sampler.sample_with_threshold(&probs, total * u);
+            assert_eq!(sampler.sample_into(&probs, &mut rng, &mut scratch), want);
         }
     }
 

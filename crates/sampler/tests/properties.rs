@@ -4,7 +4,7 @@
 
 use coopmc_rng::SplitMix64;
 use coopmc_sampler::{
-    PipeTreeSampler, SampleScratch, Sampler, SequentialSampler, TreeSampler, TreeSum,
+    AliasSampler, PipeTreeSampler, SampleScratch, Sampler, SequentialSampler, TreeSampler, TreeSum,
 };
 use coopmc_testkit::{check, Gen};
 
@@ -40,11 +40,12 @@ fn selected_label_has_mass() {
     check("selected_label_has_mass", 256, |g| {
         let probs = arb_probs(g);
         let mut rng = SplitMix64::new(g.u64());
+        let mut scratch = SampleScratch::new();
         for s in [
             &TreeSampler::new() as &dyn Sampler,
             &SequentialSampler::new(),
         ] {
-            let l = s.sample(&probs, &mut rng).label;
+            let l = s.sample_into(&probs, &mut rng, &mut scratch).label;
             assert!(probs[l] > 0.0, "label {l} has zero weight");
         }
     });
@@ -113,25 +114,32 @@ fn threshold_segment_consistency() {
     });
 }
 
-/// `sample_into` (the scratch-reusing hot-path API) draws exactly the same
-/// label stream as the allocating `sample` under identical RNG state.
+/// Whatever a shared scratch holds on entry is invisible: draws through
+/// one dirty scratch, reused across samplers and distribution sizes, equal
+/// draws through a fresh scratch under the same RNG state.
 #[test]
-fn sample_into_matches_sample() {
-    check("sample_into_matches_sample", 128, |g| {
+fn sample_into_ignores_stale_scratch() {
+    check("sample_into_ignores_stale_scratch", 128, |g| {
         let probs = arb_probs(g);
         let seed = g.u64();
-        let mut scratch = SampleScratch::new();
+        // Dirty the shared scratch with a distribution of another size.
+        let mut dirty = SampleScratch::new();
+        let stale = arb_probs(g);
+        TreeSampler::new().sample_into(&stale, &mut SplitMix64::new(seed), &mut dirty);
+        let boxed: Box<dyn Sampler> = Box::new(TreeSampler::new());
         for s in [
             &TreeSampler::new() as &dyn Sampler,
             &SequentialSampler::new(),
             &PipeTreeSampler::new(),
+            &AliasSampler::new(),
+            &boxed,
         ] {
-            let mut rng_a = SplitMix64::new(seed);
-            let mut rng_b = SplitMix64::new(seed);
+            let mut rng_fresh = SplitMix64::new(seed);
+            let mut rng_dirty = SplitMix64::new(seed);
             for _ in 0..16 {
-                let plain = s.sample(&probs, &mut rng_a);
-                let scratched = s.sample_into(&probs, &mut rng_b, &mut scratch);
-                assert_eq!(plain, scratched, "{} diverged", s.name());
+                let fresh = s.sample_into(&probs, &mut rng_fresh, &mut SampleScratch::new());
+                let reused = s.sample_into(&probs, &mut rng_dirty, &mut dirty);
+                assert_eq!(fresh, reused, "{} diverged", s.name());
             }
         }
     });
@@ -145,10 +153,11 @@ fn empirical_cdf_deviation_small() {
     let total: f64 = probs.iter().sum();
     let mut rng = SplitMix64::new(2024);
     let sampler = TreeSampler::new();
+    let mut scratch = SampleScratch::new();
     let draws = 60_000;
     let mut counts = vec![0u64; probs.len()];
     for _ in 0..draws {
-        counts[sampler.sample(&probs, &mut rng).label] += 1;
+        counts[sampler.sample_into(&probs, &mut rng, &mut scratch).label] += 1;
     }
     let mut cdf_err: f64 = 0.0;
     let mut emp = 0.0;

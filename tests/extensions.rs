@@ -14,7 +14,7 @@ use coopmc::models::diagnostics::{
 use coopmc::models::mrf::image_restoration;
 use coopmc::models::GibbsModel;
 use coopmc::rng::SplitMix64;
-use coopmc::sampler::{AliasSampler, Sampler, TreeSampler};
+use coopmc::sampler::{AliasSampler, SampleScratch, Sampler, TreeSampler};
 
 /// The chromatic engine with the CoopMC datapath converges to the same
 /// quality as the sequential engine on a 64-label workload with missing
@@ -145,8 +145,9 @@ fn alias_and_tree_samplers_are_statistically_equal() {
     let draws = 30_000;
     let run = |sampler: &dyn Sampler, seed: u64| {
         let mut rng = SplitMix64::new(seed);
+        let mut scratch = SampleScratch::new();
         let samples: Vec<usize> = (0..draws)
-            .map(|_| sampler.sample(&probs, &mut rng).label)
+            .map(|_| sampler.sample_into(&probs, &mut rng, &mut scratch).label)
             .collect();
         empirical_distribution(&samples, 4)
     };
