@@ -98,10 +98,8 @@ fn bench_sweeps(h: &Harness, host_cpus: usize, rows: &mut Vec<String>) {
     for threads in THREAD_COUNTS {
         let engine = ChromaticEngine::new(FixedPipeline::new(8, true), threads, 11);
         let mut app = image_segmentation(WIDTH, HEIGHT, 2022);
-        let mut it = 0u64;
         let m = h.run(&format!("sweep/pooled/{threads}t"), || {
-            it += 1;
-            engine.sweep(&mut app.mrf, it)
+            engine.run(&mut app.mrf, 1).updates
         });
         let per_sec = m.per_second() * n_vars;
         rows.push(

@@ -19,9 +19,7 @@ fn bench_mrf_sweep(h: &Harness) {
         let mut engine = GibbsEngine::new(config.build(), TreeSampler::new(), SplitMix64::new(1));
         let mut model = app.mrf.clone();
         h.run(&format!("mrf_sweep_48x32x16/{name}"), || {
-            let mut stats = coopmc_core::engine::RunStats::default();
-            engine.sweep(black_box(&mut model), &mut stats);
-            stats.updates
+            engine.run(black_box(&mut model), 1).updates
         });
     }
 }
@@ -32,9 +30,7 @@ fn bench_bn_sweep(h: &Harness) {
         let mut net = asia();
         let mut engine = GibbsEngine::new(config.build(), TreeSampler::new(), SplitMix64::new(1));
         h.run(&format!("bn_sweep_asia/{name}"), || {
-            let mut stats = coopmc_core::engine::RunStats::default();
-            engine.sweep(black_box(&mut net), &mut stats);
-            stats.updates
+            engine.run(black_box(&mut net), 1).updates
         });
     }
 }
@@ -54,9 +50,7 @@ fn bench_lda_sweep(h: &Harness) {
         lda.randomize_topics(2);
         let mut engine = GibbsEngine::new(config.build(), TreeSampler::new(), SplitMix64::new(1));
         h.run(&format!("lda_sweep_2400tok_8topics/{name}"), || {
-            let mut stats = coopmc_core::engine::RunStats::default();
-            engine.sweep(black_box(&mut lda), &mut stats);
-            stats.updates
+            engine.run(black_box(&mut lda), 1).updates
         });
     }
 }

@@ -99,8 +99,8 @@ fn run<P: ProbabilityPipeline>(
     let mut model = app.mrf.clone();
     let mut engine = GibbsEngine::new(pipeline, TreeSampler::new(), SplitMix64::new(seeds::CHAIN));
     let mut tail = Vec::new();
-    engine.run_observed(&mut model, 25, |iteration, model| {
-        if iteration >= 19 {
+    engine.run_observed(&mut model, 25, |c, model| {
+        if c.iteration >= 19 {
             tail.push(normalized_mse(&model.labels(), golden, &untrained));
         }
     });

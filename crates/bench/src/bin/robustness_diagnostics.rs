@@ -11,7 +11,7 @@
 
 use coopmc_bench::harness::{Cell, Report, Table};
 use coopmc_bench::seeds;
-use coopmc_core::engine::{GibbsEngine, RunStats};
+use coopmc_core::engine::GibbsEngine;
 use coopmc_core::pipeline::PipelineConfig;
 use coopmc_models::bn::{earthquake, exact_marginal, MarginalCounter};
 use coopmc_models::diagnostics::{effective_sample_size, gelman_rubin, total_variation};
@@ -24,11 +24,7 @@ fn mrf_energy_chain(config: PipelineConfig, seed: u64, sweeps: u64) -> Vec<f64> 
     let mut model = app.mrf.clone();
     let mut engine = GibbsEngine::new(config.build(), TreeSampler::new(), SplitMix64::new(seed));
     let mut chain = Vec::with_capacity(sweeps as usize);
-    let mut stats = RunStats::default();
-    for _ in 0..sweeps {
-        engine.sweep(&mut model, &mut stats);
-        chain.push(model.energy());
-    }
+    engine.run_observed(&mut model, sweeps, |_, m| chain.push(m.energy()));
     chain
 }
 
@@ -83,13 +79,11 @@ fn main() {
             SplitMix64::new(seeds::CHAIN),
         );
         let mut counter = MarginalCounter::new(&model);
-        let mut stats = RunStats::default();
-        for it in 0..6000u64 {
-            engine.sweep(&mut model, &mut stats);
-            if it >= 600 {
-                counter.record(&model);
+        engine.run_observed(&mut model, 6000, |c, m| {
+            if c.iteration > 600 {
+                counter.record(m);
             }
-        }
+        });
         let mut max_tv: f64 = 0.0;
         for v in 0..5 {
             let exact = exact_marginal(&net, v);

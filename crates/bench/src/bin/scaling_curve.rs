@@ -67,9 +67,7 @@ fn run_chromatic(threads: usize) -> (Row, String) {
         ChromaticEngine::with_recorder(CoopMcPipeline::new(64, 8), threads, SEED, &profiler);
     let mut app = image_segmentation(WIDTH, HEIGHT, MRF_SEED);
     let start = Instant::now();
-    for it in 0..SWEEPS {
-        engine.sweep(&mut app.mrf, it);
-    }
+    engine.run(&mut app.mrf, SWEEPS);
     let wall_ns = start.elapsed().as_nanos() as u64;
     // Single-thread sweeps run inline on the coordinator: the pool never
     // dispatches, so its busy counter stays zero. The one lane that exists

@@ -1,10 +1,14 @@
 //! The generic Gibbs inference engine and its one instrumentation path.
 //!
-//! Both engines capture wall time only when their recorder is armed
-//! (`enabled() || prof_enabled()`), through a `Stopwatch` that reads no
-//! clock otherwise, and summarise each lane's captures in one `LaneTally`.
-//! A finished tally is the single source of every view: profiler kernel
-//! leaves and modeled cycles, and the journal's Table II phase split.
+//! Both engines advance a chain only through `run` and `run_observed`, and
+//! both return one [`RunStats`]. Each lane summarises its work in one
+//! `LaneTally`: the deterministic counts (updates, flips, fallbacks, op
+//! tally, sampler cycles, batch strides) always, and wall time only when
+//! the recorder is armed (`enabled() || prof_enabled()`), through a
+//! `Stopwatch` that reads no clock otherwise. A sweep's merged tally is the
+//! single source of every view: the run's statistics, the observer's
+//! [`SweepCounts`], profiler kernel leaves and modeled cycles, and the
+//! journal's Table II phase split.
 
 use std::time::Instant;
 
@@ -14,12 +18,12 @@ use coopmc_kernels::cost::{
 use coopmc_kernels::fusion::StagePhases;
 use coopmc_kernels::telemetry::PgTelemetry;
 use coopmc_models::{GibbsModel, LabelScore};
-use coopmc_obs::health::{ConvergenceController, Decision};
+use coopmc_obs::health::Decision;
 use coopmc_obs::journal::SweepSample;
 use coopmc_obs::profile::Kernel;
 use coopmc_obs::{NoopRecorder, Recorder};
 use coopmc_rng::HwRng;
-use coopmc_sampler::{SampleScratch, Sampler};
+use coopmc_sampler::{SampleResult, SampleScratch, Sampler};
 
 use crate::pipeline::{PgOutput, ProbabilityPipeline};
 
@@ -31,8 +35,9 @@ use crate::pipeline::{PgOutput, ProbabilityPipeline};
 pub const PU_CYCLES: u64 = 4;
 
 /// Cumulative statistics of an engine run: deterministic counts only, so
-/// two runs of the same chain compare equal whatever their recorder. Wall
-/// time lives in the journal (see [`coopmc_obs::journal::breakdown_percent`]).
+/// two runs of the same chain compare equal whatever their recorder or
+/// thread count. Wall time lives in the journal (see
+/// [`coopmc_obs::journal::breakdown_percent`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Completed full sweeps.
@@ -61,6 +66,35 @@ impl RunStats {
     pub fn simulated_hw_cycles(&self) -> u64 {
         self.pg_cycles + self.sd_cycles + PU_CYCLES * self.updates
     }
+
+    /// Fold one finished sweep's merged tally into the run.
+    /// `sequential_cycles` is linear in the op counts, so pricing the
+    /// sweep's tally once equals pricing every row.
+    pub(crate) fn add_sweep(&mut self, sweep: &LaneTally) {
+        self.iterations += 1;
+        self.updates += sweep.updates;
+        self.flips += sweep.flips;
+        self.uniform_fallbacks += sweep.uniform_fallbacks;
+        self.ops.merge(&sweep.ops);
+        self.sd_cycles += sweep.sd_cycles;
+        self.pg_cycles += sweep.ops.sequential_cycles();
+    }
+}
+
+/// What one sweep did to the chain: what a `run_observed` observer — and
+/// through it a convergence controller — sees after every sweep. The counts
+/// are deterministic, identical with or without a recorder.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SweepCounts {
+    /// The sweep's 1-based journal iteration (the `iteration` its journal
+    /// record carries).
+    pub iteration: u64,
+    /// Variables resampled this sweep.
+    pub updates: u64,
+    /// Resampled variables whose label changed.
+    pub flips: u64,
+    /// Draws that hit the all-zero-mass uniform fallback.
+    pub uniform_fallbacks: u64,
 }
 
 /// A clock that is read only when armed: [`Stopwatch::lap`] returns the
@@ -91,14 +125,22 @@ impl Stopwatch {
     }
 }
 
-/// What one lane observed over one chunk (chromatic) or one sweep
-/// (sequential), filled from one set of [`Stopwatch`] captures while the
+/// What one lane did over one chunk (chromatic) or one sweep (sequential).
+/// The counts are always kept; the `_ns` fields come from [`Stopwatch`]
+/// captures (0 while disarmed) and the telemetry is merged only while the
 /// recorder is armed. Lane tallies [`merge`](Self::merge) into a sweep
-/// tally, and [`emit_profile`](Self::emit_profile) /
-/// [`fill_sample`](Self::fill_sample) derive the profiler and journal
-/// views from the same numbers.
+/// tally, and [`RunStats::add_sweep`], [`counts`](Self::counts),
+/// [`emit_profile`](Self::emit_profile) and
+/// [`fill_sample`](Self::fill_sample) derive every view from the same
+/// numbers.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LaneTally {
+    /// PU commits (the coordinator's tally in the chromatic engine).
+    pub(crate) updates: u64,
+    /// Commits that changed the variable's label.
+    pub(crate) flips: u64,
+    /// Draws that hit the uniform fallback.
+    pub(crate) uniform_fallbacks: u64,
     /// Time in `scores_into` (the PG gather), ns.
     pub(crate) gather_ns: u64,
     /// PG wall time — gather plus datapath, the journal's Table II
@@ -120,7 +162,7 @@ pub(crate) struct LaneTally {
     pub(crate) pg_batches: u64,
     /// Rows evaluated through batched PG strides.
     pub(crate) pg_batch_rows: u64,
-    /// DyNorm / TableExp telemetry.
+    /// DyNorm / TableExp telemetry (armed recorders only).
     pub(crate) telemetry: PgTelemetry,
 }
 
@@ -132,18 +174,45 @@ impl LaneTally {
         self.pg_ns += ns;
     }
 
-    /// Book one scalar PG evaluation and its draw.
+    /// Book one row's PG op tally and its draw.
     #[inline]
-    pub(crate) fn draw(&mut self, pg_ns: u64, sd_ns: u64, pg: &PgOutput, sd_cycles: u64) {
+    pub(crate) fn sampled(&mut self, ops: &OpCounts, sample: &SampleResult) {
+        self.ops.merge(ops);
+        self.sd_cycles += sample.cycles;
+        self.uniform_fallbacks += u64::from(sample.fallback);
+    }
+
+    /// Book one scalar PG evaluation and its draw; the telemetry only when
+    /// `armed`.
+    #[inline]
+    pub(crate) fn draw(
+        &mut self,
+        pg_ns: u64,
+        sd_ns: u64,
+        pg: &PgOutput,
+        sample: &SampleResult,
+        armed: bool,
+    ) {
         self.pg_ns += pg_ns;
         self.sd_ns += sd_ns;
-        self.ops.merge(&pg.ops);
-        self.sd_cycles += sd_cycles;
-        self.telemetry.merge(&pg.telemetry);
+        self.sampled(&pg.ops, sample);
+        if armed {
+            self.telemetry.merge(&pg.telemetry);
+        }
+    }
+
+    /// Book one PU commit.
+    #[inline]
+    pub(crate) fn commit(&mut self, flipped: bool) {
+        self.updates += 1;
+        self.flips += u64::from(flipped);
     }
 
     /// Fold another tally into this one.
     pub(crate) fn merge(&mut self, other: &LaneTally) {
+        self.updates += other.updates;
+        self.flips += other.flips;
+        self.uniform_fallbacks += other.uniform_fallbacks;
         self.gather_ns += other.gather_ns;
         self.pg_ns += other.pg_ns;
         self.phases.merge(&other.phases);
@@ -156,9 +225,19 @@ impl LaneTally {
         self.telemetry.merge(&other.telemetry);
     }
 
+    /// The observer view of a finished sweep numbered `iteration`.
+    pub(crate) fn counts(&self, iteration: u64) -> SweepCounts {
+        SweepCounts {
+            iteration,
+            updates: self.updates,
+            flips: self.flips,
+            uniform_fallbacks: self.uniform_fallbacks,
+        }
+    }
+
     /// The profiler view: one leaf per kernel that recorded time, plus the
-    /// tally's modeled cycles, on `lane`, with `updates` PU commits priced
-    /// at [`PU_CYCLES`].
+    /// tally's modeled cycles, on `lane`, with its commits priced at
+    /// [`PU_CYCLES`].
     ///
     /// The cycle split mirrors how the fused PG datapath spends its op
     /// tally: TableLog lookups (`log_lut`) land in `pg.log`, accumulator
@@ -166,7 +245,7 @@ impl LaneTally {
     /// the remaining (TableExp) lookups and approximation-ALU calls in
     /// `pg.exp_batch` — together exactly [`OpCounts::sequential_cycles`],
     /// so the ledger's modeled total matches the journal's `pg_cycles`.
-    pub(crate) fn emit_profile<Rec: Recorder>(&self, rec: &Rec, lane: usize, updates: u64) {
+    pub(crate) fn emit_profile<Rec: Recorder>(&self, rec: &Rec, lane: usize) {
         let p = &self.phases;
         for (kernel, ns) in [
             (Kernel::PgGather, self.gather_ns),
@@ -194,21 +273,24 @@ impl LaneTally {
                 (ops.lut - ops.log_lut) * LUT_CYCLES + ops.approx * EXP_APPROX_CYCLES,
             ),
             (Kernel::SdSampleRows, self.sd_cycles),
-            (Kernel::PuUpdate, PU_CYCLES * updates),
+            (Kernel::PuUpdate, PU_CYCLES * self.updates),
         ] {
             rec.prof_cycles(lane, kernel, cycles);
         }
     }
 
-    /// The journal view: fill `sample`'s phase times, modeled cycles (PU
-    /// from `sample.updates`), batch counts and telemetry.
+    /// The journal view: fill `sample`'s counts, phase times, modeled
+    /// cycles, batch counts and telemetry.
     pub(crate) fn fill_sample(&self, sample: &mut SweepSample) {
+        sample.updates = self.updates;
+        sample.flips = self.flips;
+        sample.uniform_fallbacks = self.uniform_fallbacks;
         sample.pg_ns = self.pg_ns;
         sample.sd_ns = self.sd_ns;
         sample.pu_ns = self.pu_ns;
         sample.pg_cycles = self.ops.sequential_cycles();
         sample.sd_cycles = self.sd_cycles;
-        sample.pu_cycles = PU_CYCLES * sample.updates;
+        sample.pu_cycles = PU_CYCLES * self.updates;
         sample.pg_batches = self.pg_batches;
         sample.pg_batch_rows = self.pg_batch_rows;
         sample.norm_max = self.telemetry.norm_max;
@@ -217,15 +299,22 @@ impl LaneTally {
     }
 }
 
-/// Drives a [`GibbsModel`] through PG → SD → PU sweeps.
+/// Drives a [`GibbsModel`] through PG → SD → PU sweeps, one variable at a
+/// time from one RNG stream.
+///
+/// A chain advances only through [`run`](Self::run) and
+/// [`run_observed`](Self::run_observed); a single sweep is `run(model, 1)`.
+/// Both are generic over the model, so an observer sees the concrete type
+/// (`&GridMrf`, `&BayesNet`, `&Lda`, or `&dyn GibbsModel`) with its
+/// energy, joint probability or log-likelihood.
 ///
 /// The engine owns every hot-path buffer (score vector, PG output, sampler
 /// scratch), so after a warm-up sweep has grown them to the model's label
 /// count, a steady-state sweep performs **zero heap allocations**.
 ///
 /// The engine is generic over a [`Recorder`]; the default [`NoopRecorder`]
-/// is statically dispatched into nothing — no clock reads, no tally — so
-/// the counting-allocator test in `tests/alloc_free.rs` proves
+/// is statically dispatched into nothing — no clock reads, no telemetry —
+/// so the counting-allocator test in `tests/alloc_free.rs` proves
 /// instrumented-but-disabled sweeps keep the zero-allocation guarantee.
 /// Construct with [`GibbsEngine::with_recorder`] (typically over
 /// `&TraceRecorder`, so the caller keeps ownership for export) to emit one
@@ -242,8 +331,6 @@ pub struct GibbsEngine<P, S, R, Rec = NoopRecorder> {
     /// 1-based journal iteration, monotone for the engine's lifetime (so
     /// repeated `run` calls on one engine keep a valid journal).
     journal_iteration: u64,
-    /// The current sweep's lane-0 tally (armed recorders only).
-    tally: LaneTally,
     scores: Vec<LabelScore>,
     pg: PgOutput,
     sd_scratch: SampleScratch,
@@ -267,7 +354,6 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P,
             recorder,
             chain: 0,
             journal_iteration: 0,
-            tally: LaneTally::default(),
             scores: Vec::new(),
             pg: PgOutput::new(),
             sd_scratch: SampleScratch::new(),
@@ -290,16 +376,15 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P,
         &self.recorder
     }
 
-    /// The 1-based iteration number journal records carry; monotone across
-    /// repeated `run` calls on the same engine.
-    pub fn journal_iteration(&self) -> u64 {
-        self.journal_iteration
-    }
-
-    /// Resample a single unclamped variable.
-    fn step(&mut self, model: &mut dyn GibbsModel, var: usize, stats: &mut RunStats) {
+    /// Resample a single unclamped variable into `tally`.
+    fn step<M: GibbsModel + ?Sized>(
+        &mut self,
+        model: &mut M,
+        var: usize,
+        tally: &mut LaneTally,
+        armed: bool,
+    ) {
         let old_label = model.label(var);
-        let armed = self.recorder.enabled() || self.recorder.prof_enabled();
         let mut clock = Stopwatch::start(armed);
         model.begin_resample(var);
         model.scores_into(var, &mut self.scores);
@@ -311,45 +396,36 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P,
             .sample_into(&self.pg.probs, &mut self.rng, &mut self.sd_scratch);
         let sd_ns = clock.lap();
         model.update(var, sample.label);
-        if armed {
-            self.tally.pu_ns += clock.lap();
-            self.tally.gather(gather_ns);
-            self.tally.draw(pg_ns, sd_ns, &self.pg, sample.cycles);
-        }
-        stats.pg_cycles += self.pg.ops.sequential_cycles();
-        stats.ops.merge(&self.pg.ops);
-        stats.sd_cycles += sample.cycles;
-        stats.updates += 1;
-        stats.flips += u64::from(sample.label != old_label);
-        stats.uniform_fallbacks += u64::from(sample.fallback);
+        tally.pu_ns += clock.lap();
+        tally.gather(gather_ns);
+        tally.draw(pg_ns, sd_ns, &self.pg, &sample, armed);
+        tally.commit(sample.label != old_label);
     }
 
-    /// One full sweep over every variable.
-    pub fn sweep(&mut self, model: &mut dyn GibbsModel, stats: &mut RunStats) {
+    /// One full sweep over every variable; returns the sweep's tally.
+    fn sweep<M: GibbsModel + ?Sized>(&mut self, model: &mut M) -> LaneTally {
         // With the NoopRecorder every recorder branch below folds away:
         // `enabled()` and `prof_enabled()` are compile-time false.
         let enabled = self.recorder.enabled();
         let prof = self.recorder.prof_enabled();
+        let armed = enabled || prof;
         let start_ns = if enabled { self.recorder.now_ns() } else { 0 };
-        let (updates0, flips0, fallbacks0) = (stats.updates, stats.flips, stats.uniform_fallbacks);
         if prof {
             self.recorder.prof_begin(0, Kernel::Sweep);
         }
         // Arm the PG buffer's stage-timing sink only while profiling.
         self.pg.phases = prof.then(StagePhases::default);
+        let mut tally = LaneTally::default();
         for var in 0..model.num_variables() {
             if !model.is_clamped(var) {
-                self.step(model, var, stats);
+                self.step(model, var, &mut tally, armed);
             }
         }
-        stats.iterations += 1;
         self.journal_iteration += 1;
-        let updates = stats.updates - updates0;
-        let mut tally = std::mem::take(&mut self.tally);
         if prof {
             tally.phases = self.pg.phases.take().unwrap_or_default();
             // Sequential engine: everything runs on lane 0, the coordinator.
-            tally.emit_profile(&self.recorder, 0, updates);
+            tally.emit_profile(&self.recorder, 0);
             self.recorder.prof_end(0, Kernel::Sweep);
         }
         if enabled {
@@ -358,83 +434,42 @@ impl<P: ProbabilityPipeline, S: Sampler, R: HwRng, Rec: Recorder> GibbsEngine<P,
                 iteration: self.journal_iteration,
                 start_ns,
                 wall_ns: self.recorder.now_ns().saturating_sub(start_ns),
-                updates,
-                flips: stats.flips - flips0,
-                uniform_fallbacks: stats.uniform_fallbacks - fallbacks0,
                 ..SweepSample::default()
             };
             tally.fill_sample(&mut sample);
             self.recorder.end_sweep(&sample);
         }
+        tally
     }
 
     /// Run `iterations` full sweeps.
-    pub fn run(&mut self, model: &mut dyn GibbsModel, iterations: u64) -> RunStats {
-        let mut stats = RunStats::default();
-        for _ in 0..iterations {
-            self.sweep(model, &mut stats);
-        }
-        stats
+    pub fn run<M: GibbsModel + ?Sized>(&mut self, model: &mut M, iterations: u64) -> RunStats {
+        self.run_observed(model, iterations, |_, _| ())
     }
 
-    /// Run up to `max_sweeps` sweeps, consulting `controller` after each.
+    /// Run up to `iterations` full sweeps, handing `observer` each sweep's
+    /// [`SweepCounts`] (its `iteration` is the journal's: 1-based and
+    /// monotone across `run` calls on this engine) and the model. The run
+    /// ends early when the observer returns [`Decision::Stop`]; an observer
+    /// returning `()` never stops it.
     ///
-    /// After every sweep, `stat_fn` extracts the chain's scalar statistic
-    /// from the model (return `None` to run the flip/fallback detectors
-    /// without moment tracking); the statistic is forwarded to the recorder
-    /// (when enabled) and handed to the controller together with the
-    /// sweep's update/flip/fallback counts. The run ends early when the
-    /// controller returns [`Decision::Stop`].
-    ///
-    /// With [`coopmc_obs::health::NoControl`] and a `|_| None` statistic
-    /// this is exactly [`run`](Self::run): the controller neither observes
-    /// the chain's labels nor its RNG, so controlled and plain runs are
-    /// bit-identical — pinned by the workspace `tests/health.rs`.
-    pub fn run_controlled(
+    /// The observer sees the chain after the sweep but never its RNG or
+    /// draw path, so an observed run is bit-identical to a plain `run` for
+    /// the sweeps they share.
+    pub fn run_observed<M: GibbsModel + ?Sized, D: Into<Decision>>(
         &mut self,
-        model: &mut dyn GibbsModel,
-        max_sweeps: u64,
-        mut stat_fn: impl FnMut(&dyn GibbsModel) -> Option<f64>,
-        controller: &mut impl ConvergenceController,
+        model: &mut M,
+        iterations: u64,
+        mut observer: impl FnMut(&SweepCounts, &M) -> D,
     ) -> RunStats {
         let mut stats = RunStats::default();
-        for _ in 0..max_sweeps {
-            let (u0, f0, fb0) = (stats.updates, stats.flips, stats.uniform_fallbacks);
-            self.sweep(model, &mut stats);
-            let stat = stat_fn(model);
-            if self.recorder.enabled() {
-                if let Some(v) = stat {
-                    self.recorder
-                        .observe_stat(self.chain, self.journal_iteration, v);
-                }
-            }
-            let decision = controller.observe_sweep(
-                self.journal_iteration,
-                stats.updates - u0,
-                stats.flips - f0,
-                stats.uniform_fallbacks - fb0,
-                stat,
-            );
-            if decision == Decision::Stop {
+        for _ in 0..iterations {
+            let tally = self.sweep(model);
+            stats.add_sweep(&tally);
+            let counts = tally.counts(self.journal_iteration);
+            if observer(&counts, model).into() == Decision::Stop {
                 break;
             }
-        }
-        stats
-    }
-
-    /// Run `iterations` sweeps, invoking `observer` after each with the
-    /// journal iteration index (1-based, monotone across `run` calls) and
-    /// the model.
-    pub fn run_observed(
-        &mut self,
-        model: &mut dyn GibbsModel,
-        iterations: u64,
-        mut observer: impl FnMut(u64, &dyn GibbsModel),
-    ) -> RunStats {
-        let mut stats = RunStats::default();
-        for _ in 0..iterations {
-            self.sweep(model, &mut stats);
-            observer(self.journal_iteration, model);
         }
         stats
     }
@@ -500,7 +535,7 @@ mod tests {
         let mut engine =
             GibbsEngine::new(FloatPipeline::new(), TreeSampler::new(), SplitMix64::new(4));
         let mut seen = Vec::new();
-        engine.run_observed(&mut app.mrf, 4, |it, _| seen.push(it));
+        engine.run_observed(&mut app.mrf, 4, |c, _| seen.push(c.iteration));
         assert_eq!(seen, vec![1, 2, 3, 4]);
     }
 
@@ -534,8 +569,7 @@ mod tests {
     }
 
     #[test]
-    fn controlled_run_with_no_control_matches_plain_run() {
-        use coopmc_obs::health::NoControl;
+    fn observed_run_with_a_unit_observer_matches_plain_run() {
         let plain = {
             let mut app = image_segmentation(12, 12, 44);
             let mut engine =
@@ -543,46 +577,32 @@ mod tests {
             engine.run(&mut app.mrf, 5);
             app.mrf.labels()
         };
-        let controlled = {
+        let observed = {
             let mut app = image_segmentation(12, 12, 44);
             let mut engine =
                 GibbsEngine::new(FloatPipeline::new(), TreeSampler::new(), SplitMix64::new(8));
-            engine.run_controlled(&mut app.mrf, 5, |_| None, &mut NoControl);
+            engine.run_observed(&mut app.mrf, 5, |_, _| ());
             app.mrf.labels()
         };
-        assert_eq!(plain, controlled);
+        assert_eq!(plain, observed);
     }
 
     #[test]
-    fn controlled_run_stops_when_the_controller_says_so() {
-        use coopmc_obs::health::{ConvergenceController, Decision};
-        struct StopAfter(u64);
-        impl ConvergenceController for StopAfter {
-            fn observe_sweep(
-                &mut self,
-                it: u64,
-                _: u64,
-                _: u64,
-                _: u64,
-                _: Option<f64>,
-            ) -> Decision {
-                if it >= self.0 {
-                    Decision::Stop
-                } else {
-                    Decision::Continue
-                }
-            }
-        }
+    fn observed_run_stops_when_the_observer_says_so() {
         let mut app = image_segmentation(10, 10, 45);
         let mut engine =
             GibbsEngine::new(FloatPipeline::new(), TreeSampler::new(), SplitMix64::new(9));
-        let stats = engine.run_controlled(
-            &mut app.mrf,
-            100,
-            |m| Some(-(m.num_variables() as f64)),
-            &mut StopAfter(3),
-        );
-        assert_eq!(stats.iterations, 3, "must stop at the controller's word");
+        let mut energies = Vec::new();
+        let stats = engine.run_observed(&mut app.mrf, 100, |c, m| {
+            energies.push(m.energy());
+            if c.iteration >= 3 {
+                Decision::Stop
+            } else {
+                Decision::Continue
+            }
+        });
+        assert_eq!(stats.iterations, 3, "must stop at the observer's word");
+        assert_eq!(energies.len(), 3);
     }
 
     #[test]

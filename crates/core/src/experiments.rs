@@ -47,8 +47,8 @@ pub fn mrf_trace(
     let mut engine = GibbsEngine::new(config.build(), TreeSampler::new(), SplitMix64::new(seed));
     let mut trace = Trace::new();
     trace.push(0, normalized_mse(&untrained, golden, &untrained));
-    engine.run_observed(&mut model, iterations, |it, m| {
-        trace.push(it, normalized_mse(&m.labels(), golden, &untrained));
+    engine.run_observed(&mut model, iterations, |c, m| {
+        trace.push(c.iteration, normalized_mse(&m.labels(), golden, &untrained));
     });
     trace
 }
@@ -91,13 +91,11 @@ pub fn bn_marginal_mse(
     let mut model = net.clone();
     let mut engine = GibbsEngine::new(config.build(), TreeSampler::new(), SplitMix64::new(seed));
     let mut counter = MarginalCounter::new(&model);
-    let mut stats = crate::engine::RunStats::default();
-    for it in 0..iterations {
-        engine.sweep(&mut model, &mut stats);
-        if it >= burn_in {
-            counter.record(&model);
+    engine.run_observed(&mut model, iterations, |c, m| {
+        if c.iteration > burn_in {
+            counter.record(m);
         }
-    }
+    });
     counter.mse_against(&exact, &model)
 }
 
@@ -108,11 +106,9 @@ pub fn lda_trace(lda: &Lda, config: PipelineConfig, iterations: u64, seed: u64) 
     let mut engine = GibbsEngine::new(config.build(), TreeSampler::new(), SplitMix64::new(seed));
     let mut trace = Trace::new();
     trace.push(0, model.log_likelihood());
-    let mut stats = crate::engine::RunStats::default();
-    for it in 1..=iterations {
-        engine.sweep(&mut model, &mut stats);
-        trace.push(it, model.log_likelihood());
-    }
+    engine.run_observed(&mut model, iterations, |c, m| {
+        trace.push(c.iteration, m.log_likelihood());
+    });
     trace
 }
 

@@ -40,6 +40,8 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
     }
 
     /// One MH update of `var`; returns true if the proposal was accepted.
+    /// A proposal equal to the current label is accepted (its ratio is 1)
+    /// without evaluating PG or drawing a uniform.
     pub fn step(&mut self, model: &mut dyn GibbsModel, var: usize, stats: &mut RunStats) -> bool {
         if model.is_clamped(var) {
             return false;
@@ -48,7 +50,7 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
         let current = model.label(var);
         let proposal = self.rng.uniform_index(n);
         if proposal == current {
-            return false;
+            return true;
         }
         model.begin_resample(var);
         model.scores_into(var, &mut self.scores);
@@ -113,20 +115,27 @@ impl<P: ProbabilityPipeline, R: HwRng> MetropolisEngine<P, R> {
 /// variable takes its argmax label under the pipeline's probabilities.
 /// Converges fast to a local optimum; returns the number of label changes.
 ///
+/// The caller owns the score and PG buffers (their contents do not
+/// matter), so a loop of sweeps allocates only while the first one grows
+/// them.
+///
 /// Ties go to the highest-indexed label. A NaN probability never wins:
 /// NaN labels are skipped, and a variable with no comparable label at all
 /// (every probability NaN, or no labels) keeps its current label.
-pub fn icm_sweep<P: ProbabilityPipeline>(model: &mut dyn GibbsModel, pipeline: &P) -> usize {
-    let mut scores = Vec::new();
-    let mut pg = PgOutput::new();
+pub fn icm_sweep<P: ProbabilityPipeline>(
+    model: &mut dyn GibbsModel,
+    pipeline: &P,
+    scores: &mut Vec<LabelScore>,
+    pg: &mut PgOutput,
+) -> usize {
     let mut changes = 0usize;
     for var in 0..model.num_variables() {
         if model.is_clamped(var) {
             continue;
         }
         model.begin_resample(var);
-        model.scores_into(var, &mut scores);
-        pipeline.generate_into(&scores, &mut pg);
+        model.scores_into(var, scores);
+        pipeline.generate_into(scores, pg);
         let best = pg
             .probs
             .iter()
@@ -174,13 +183,13 @@ pub fn anneal_mrf<P: ProbabilityPipeline, R: HwRng>(
 ) -> f64 {
     let mut engine =
         crate::engine::GibbsEngine::new(pipeline, coopmc_sampler::TreeSampler::new(), rng);
-    let mut stats = RunStats::default();
     for sweep in 0..sweeps {
         mrf.set_beta(schedule.beta_at(sweep));
-        engine.sweep(mrf, &mut stats);
+        engine.run(mrf, 1);
     }
     mrf.set_beta(schedule.beta_max);
-    while icm_sweep(mrf, engine.pipeline()) > 0 {}
+    let (mut scores, mut pg) = (Vec::new(), PgOutput::new());
+    while icm_sweep(mrf, engine.pipeline(), &mut scores, &mut pg) > 0 {}
     mrf.energy()
 }
 
@@ -222,11 +231,7 @@ mod tests {
             } else {
                 let mut g =
                     GibbsEngine::new(FloatPipeline::new(), TreeSampler::new(), SplitMix64::new(5));
-                let mut stats = RunStats::default();
-                for _ in 0..sweeps {
-                    g.sweep(&mut net, &mut stats);
-                    count += u64::from(net.label(2) == 0);
-                }
+                g.run_observed(&mut net, sweeps, |_, n| count += u64::from(n.label(2) == 0));
             }
             count as f64 / sweeps as f64
         };
@@ -320,9 +325,10 @@ mod tests {
     fn icm_is_deterministic_and_monotone() {
         let mut app = image_segmentation(24, 20, 6);
         let pipeline = FloatPipeline::new();
+        let (mut scores, mut pg) = (Vec::new(), PgOutput::new());
         let mut prev = app.mrf.energy();
         loop {
-            let changes = icm_sweep(&mut app.mrf, &pipeline);
+            let changes = icm_sweep(&mut app.mrf, &pipeline, &mut scores, &mut pg);
             let e = app.mrf.energy();
             assert!(
                 e <= prev + 1e-9,
@@ -334,7 +340,7 @@ mod tests {
             }
         }
         // Fixed point reached: another sweep changes nothing.
-        assert_eq!(icm_sweep(&mut app.mrf, &pipeline), 0);
+        assert_eq!(icm_sweep(&mut app.mrf, &pipeline, &mut scores, &mut pg), 0);
     }
 
     /// One variable, three labels, fixed log-domain scores.
@@ -367,13 +373,34 @@ mod tests {
     }
 
     #[test]
+    fn self_proposals_count_as_acceptances() {
+        // Every MH ratio on a flat model is 1, so every proposal — the
+        // third that re-propose the current label included — is accepted.
+        let mut model = OneVar {
+            scores: [0.0; 3],
+            label: 0,
+        };
+        let mut mh = MetropolisEngine::new(FloatPipeline::new(), SplitMix64::new(4));
+        let (_, acc) = mh.run(&mut model, 300);
+        assert_eq!(acc, 1.0);
+    }
+
+    #[test]
     fn icm_never_picks_a_nan_label() {
+        let icm = |model: &mut OneVar| {
+            icm_sweep(
+                model,
+                &FloatPipeline::new(),
+                &mut Vec::new(),
+                &mut PgOutput::new(),
+            )
+        };
         // FloatPipeline maps [0, NaN, -1] to [1, NaN, e^-1]: label 0 wins.
         let mut model = OneVar {
             scores: [0.0, f64::NAN, -1.0],
             label: 1,
         };
-        assert_eq!(icm_sweep(&mut model, &FloatPipeline::new()), 1);
+        assert_eq!(icm(&mut model), 1);
         assert_eq!(model.label, 0);
         // [∞, NaN, ∞] maps to all-NaN (∞ − ∞): nothing is comparable, so
         // the current label stays.
@@ -381,7 +408,7 @@ mod tests {
             scores: [f64::INFINITY, f64::NAN, f64::INFINITY],
             label: 1,
         };
-        assert_eq!(icm_sweep(&mut model, &FloatPipeline::new()), 0);
+        assert_eq!(icm(&mut model), 0);
         assert_eq!(model.label, 1);
     }
 

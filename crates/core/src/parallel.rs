@@ -17,7 +17,7 @@ use coopmc_kernels::fusion::StagePhases;
 use coopmc_models::coloring::ChromaticModel;
 use coopmc_models::mrf::GridMrf;
 use coopmc_models::{GibbsModel, LabelScore};
-use coopmc_obs::health::{ConvergenceController, Decision};
+use coopmc_obs::health::Decision;
 use coopmc_obs::journal::{ColorSample, SweepSample};
 use coopmc_obs::profile::Kernel;
 use coopmc_obs::{metrics, NoopRecorder, Recorder};
@@ -26,7 +26,7 @@ use coopmc_sampler::{SampleResult, SampleScratch, Sampler, TreeSampler};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::engine::{LaneTally, Stopwatch};
+use crate::engine::{LaneTally, RunStats, Stopwatch, SweepCounts};
 use crate::pipeline::{PgBatch, PgOutput, ProbabilityPipeline};
 use crate::pool::WorkerPool;
 
@@ -62,27 +62,17 @@ struct SweepScratch {
     batch_vars: Vec<usize>,
     /// Per-row draws of the current stride.
     draws: Vec<SampleResult>,
-    /// Uniform-fallback draws in this slot's current chunk. Always counted
-    /// (one add per draw) so chain-health runs see fallbacks without a
-    /// recorder.
-    fallbacks: u64,
-    /// This slot's lane tally for the current chunk (armed recorders only).
+    /// This slot's lane tally for the current chunk.
     tally: LaneTally,
 }
 
-/// Per-sweep chain-behaviour counts: what a convergence controller needs
-/// from one sweep, trackable without (and independently of) a recorder.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SweepCounts {
-    /// Variables resampled this sweep.
-    pub updates: u64,
-    /// Resampled variables whose label changed.
-    pub flips: u64,
-    /// Draws that hit the all-zero-mass uniform fallback.
-    pub uniform_fallbacks: u64,
-}
-
 /// Chromatic parallel Gibbs engine.
+///
+/// Like [`GibbsEngine`](crate::engine::GibbsEngine), a chain advances only
+/// through [`run`](Self::run) and [`run_observed`](Self::run_observed),
+/// which return the same [`RunStats`] (op tally and modeled cycles
+/// included). Sweep `k` of a call (0-based) draws with iteration `k` and
+/// journals as iteration `k + 1`; every call starts again at 0.
 ///
 /// Worker threads are spawned **once** (at construction) into a persistent
 /// [`WorkerPool`] and fed one job per chunk per color class — no per-sweep
@@ -189,15 +179,6 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         self.pool.total_busy_ns()
     }
 
-    /// One full sweep: each color class is resampled concurrently from the
-    /// same snapshot, then committed before the next class starts.
-    ///
-    /// Returns the number of variables updated.
-    pub fn sweep<M: ChromaticModel + Sync>(&self, model: &mut M, iteration: u64) -> usize {
-        let classes = model.color_classes();
-        self.sweep_classes(model, &classes, iteration, None)
-    }
-
     /// Resample one chunk of a color class against an immutable snapshot.
     ///
     /// With `batch_rows > 1` the chunk is processed in batch strides: runs
@@ -219,7 +200,6 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         let armed = self.recorder.enabled() || prof;
         let sampler = TreeSampler::new();
         scratch.out.clear();
-        scratch.fallbacks = 0;
         scratch.tally = LaneTally::default();
         // Arm the PG buffers' stage-timing sinks only while profiling.
         let sink = prof.then(StagePhases::default);
@@ -268,10 +248,10 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
                 scratch.tally.phases.merge(phases);
             }
             // PU commits happen on the coordinator after the class barrier,
-            // so a chunk books no update cycles (the sweep adds them there).
-            // One leaf per kernel per *chunk* keeps ring traffic
+            // so a chunk's tally holds no updates (the sweep books them
+            // there). One leaf per kernel per *chunk* keeps ring traffic
             // proportional to jobs, like the pool's own accounting.
-            scratch.tally.emit_profile(&self.recorder, lane, 0);
+            scratch.tally.emit_profile(&self.recorder, lane);
         }
     }
 
@@ -293,10 +273,9 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         let sample = sampler.sample_into(&scratch.pg.probs, &mut rng, &mut scratch.sd);
         let sd_ns = clock.lap();
         scratch.out.push((var, sample.label));
-        scratch.fallbacks += u64::from(sample.fallback);
-        if armed {
-            scratch.tally.draw(pg_ns, sd_ns, &scratch.pg, sample.cycles);
-        }
+        scratch
+            .tally
+            .draw(pg_ns, sd_ns, &scratch.pg, &sample, armed);
     }
 
     /// Evaluate the gathered stride: one `generate_batch_into` call, then
@@ -330,75 +309,40 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         let sd_ns = clock.lap();
         for (&var, sample) in scratch.batch_vars.iter().zip(&scratch.draws) {
             scratch.out.push((var, sample.label));
-            scratch.fallbacks += u64::from(sample.fallback);
         }
+        let tally = &mut scratch.tally;
+        for (ops, sample) in scratch.batch.ops.iter().zip(&scratch.draws) {
+            tally.sampled(ops, sample);
+        }
+        tally.pg_ns += pg_ns;
+        tally.sd_ns += sd_ns;
+        tally.pg_batches += 1;
+        tally.pg_batch_rows += scratch.batch_vars.len() as u64;
         if armed {
-            let tally = &mut scratch.tally;
-            tally.pg_ns += pg_ns;
-            tally.sd_ns += sd_ns;
             tally.telemetry.merge(&scratch.batch.telemetry);
-            tally.pg_batches += 1;
-            tally.pg_batch_rows += scratch.batch_vars.len() as u64;
-            for (ops, sample) in scratch.batch.ops.iter().zip(&scratch.draws) {
-                tally.ops.merge(ops);
-                tally.sd_cycles += sample.cycles;
-            }
         }
         scratch.batch_scores.clear();
         scratch.batch_vars.clear();
     }
 
-    /// Commit one slot's draws into the model; counts flips only when a
-    /// recording or health-controlled pass asked for them (extra
-    /// `model.label` reads — observation only, the chain is untouched).
-    fn commit_slot<M: ChromaticModel>(
-        model: &mut M,
-        out: &[(usize, usize)],
-        counts: Option<&mut SweepCounts>,
-    ) {
-        match counts {
-            Some(c) => {
-                for &(var, label) in out {
-                    c.flips += u64::from(model.label(var) != label);
-                    model.update(var, label);
-                }
-                c.updates += out.len() as u64;
-            }
-            None => {
-                for &(var, label) in out {
-                    model.update(var, label);
-                }
-            }
-        }
-    }
-
-    /// Sweep with precomputed color classes (lets `run` compute them once).
-    ///
-    /// `counts`, when supplied, receives the sweep's update/flip/fallback
-    /// tally — the input a [`ConvergenceController`] needs — whether or not
-    /// a recorder is attached.
-    fn sweep_classes<M: ChromaticModel + Sync>(
+    /// One full sweep number `iteration` (0-based) over precomputed color
+    /// classes: each class is resampled concurrently from the same
+    /// snapshot, then committed before the next class starts. Returns the
+    /// sweep's merged tally.
+    fn sweep<M: ChromaticModel + Sync>(
         &self,
         model: &mut M,
         classes: &[Vec<usize>],
         iteration: u64,
-        counts: Option<&mut SweepCounts>,
-    ) -> usize {
+    ) -> LaneTally {
         let enabled = self.recorder.enabled();
         let prof = self.recorder.prof_enabled();
         let armed = enabled || prof;
-        // Profiling needs the update tally for PU cycle attribution even
-        // when the journal recorder is off; counting is observation-only
-        // (extra `model.label` reads), never chain-visible.
-        let counting = armed || counts.is_some();
-        let mut local = SweepCounts::default();
         let sweep_start = if enabled { self.recorder.now_ns() } else { 0 };
-        // Lane 0's own work (the PU commits), and — for the journal — every
-        // lane's tally merged.
+        // Lane 0's own work (the PU commits), and every lane's tally merged.
         let mut coordinator = LaneTally::default();
         let mut merged = LaneTally::default();
         let mut colors = Vec::new();
-        let mut updated = 0usize;
         if prof {
             self.recorder.prof_begin(0, Kernel::Sweep);
         }
@@ -447,14 +391,11 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
             let mut clock = Stopwatch::start(armed);
             for slot in &self.scratch[..n_slots] {
                 let scratch = slot.lock().unwrap();
-                updated += scratch.out.len();
-                Self::commit_slot(model, &scratch.out, counting.then_some(&mut local));
-                if counting {
-                    local.uniform_fallbacks += scratch.fallbacks;
+                for &(var, label) in &scratch.out {
+                    coordinator.commit(model.label(var) != label);
+                    model.update(var, label);
                 }
-                if enabled {
-                    merged.merge(&scratch.tally);
-                }
+                merged.merge(&scratch.tally);
             }
             coordinator.pu_ns += clock.lap();
             if enabled {
@@ -489,9 +430,10 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
         if prof {
             // PU runs on the coordinator: its leaf and modeled cycles land
             // on lane 0, inside the sweep span.
-            coordinator.emit_profile(&self.recorder, 0, local.updates);
+            coordinator.emit_profile(&self.recorder, 0);
             self.recorder.prof_end(0, Kernel::Sweep);
         }
+        merged.merge(&coordinator);
         if enabled {
             for c in &colors {
                 metrics::gauge_with(
@@ -507,92 +449,50 @@ impl<P: ProbabilityPipeline + Sync, Rec: Recorder> ChromaticEngine<P, Rec> {
                 metrics::gauge_with("coopmc_pool_worker_jobs", &[("worker", &worker)])
                     .set(w.jobs as f64);
             }
-            merged.merge(&coordinator);
             let mut sample = SweepSample {
                 chain: self.chain,
                 iteration: iteration + 1,
                 start_ns: sweep_start,
                 wall_ns: self.recorder.now_ns().saturating_sub(sweep_start),
-                updates: local.updates,
-                flips: local.flips,
-                uniform_fallbacks: local.uniform_fallbacks,
                 colors,
                 ..SweepSample::default()
             };
             merged.fill_sample(&mut sample);
             self.recorder.end_sweep(&sample);
         }
-        if let Some(c) = counts {
-            *c = local;
-        }
-        updated
+        merged
     }
 
-    /// Run `iterations` sweeps. Color classes are computed once and reused
-    /// across all sweeps.
-    pub fn run<M: ChromaticModel + Sync>(&self, model: &mut M, iterations: u64) -> usize {
-        let classes = model.color_classes();
-        (0..iterations)
-            .map(|it| self.sweep_classes(model, &classes, it, None))
-            .sum()
+    /// Run `iterations` sweeps. Color classes are computed once per call.
+    pub fn run<M: ChromaticModel + Sync>(&self, model: &mut M, iterations: u64) -> RunStats {
+        self.run_observed(model, iterations, |_, _| ())
     }
 
-    /// Run `iterations` sweeps, invoking `observer` after each with the
-    /// 1-based iteration number (matching the journal) and the model.
-    pub fn run_observed<M: ChromaticModel + Sync>(
+    /// Run up to `iterations` sweeps, handing `observer` each sweep's
+    /// [`SweepCounts`] (1-based `iteration`, matching the journal) and the
+    /// model. The run ends early when the observer returns
+    /// [`Decision::Stop`]; an observer returning `()` never stops it.
+    ///
+    /// The observer only sees the committed chain — it never touches the
+    /// `(seed, iteration, var)` draw path — so an observed run is
+    /// bit-identical to a plain `run` for the sweeps they share, across any
+    /// thread count.
+    pub fn run_observed<M: ChromaticModel + Sync, D: Into<Decision>>(
         &self,
         model: &mut M,
         iterations: u64,
-        mut observer: impl FnMut(u64, &M),
-    ) -> usize {
+        mut observer: impl FnMut(&SweepCounts, &M) -> D,
+    ) -> RunStats {
         let classes = model.color_classes();
-        let mut updated = 0;
+        let mut stats = RunStats::default();
         for it in 0..iterations {
-            updated += self.sweep_classes(model, &classes, it, None);
-            observer(it + 1, model);
-        }
-        updated
-    }
-
-    /// Run up to `max_sweeps` sweeps, consulting `controller` after each
-    /// with the sweep's update/flip/fallback counts and the statistic
-    /// `stat_fn` extracts from the model. Stops early when the controller
-    /// returns [`Decision::Stop`]; returns total variables updated.
-    ///
-    /// The controller only *observes* the chain (counts and a derived
-    /// statistic) — it never touches the `(seed, iteration, var)` draw
-    /// path, so controlled and plain runs are bit-identical for the sweeps
-    /// they share, across any thread count.
-    pub fn run_controlled<M: ChromaticModel + Sync>(
-        &self,
-        model: &mut M,
-        max_sweeps: u64,
-        mut stat_fn: impl FnMut(&M) -> Option<f64>,
-        controller: &mut impl ConvergenceController,
-    ) -> usize {
-        let classes = model.color_classes();
-        let mut updated = 0;
-        for it in 0..max_sweeps {
-            let mut counts = SweepCounts::default();
-            updated += self.sweep_classes(model, &classes, it, Some(&mut counts));
-            let stat = stat_fn(model);
-            if self.recorder.enabled() {
-                if let Some(v) = stat {
-                    self.recorder.observe_stat(self.chain, it + 1, v);
-                }
-            }
-            let decision = controller.observe_sweep(
-                it + 1,
-                counts.updates,
-                counts.flips,
-                counts.uniform_fallbacks,
-                stat,
-            );
-            if decision == Decision::Stop {
+            let tally = self.sweep(model, &classes, it);
+            stats.add_sweep(&tally);
+            if observer(&tally.counts(it + 1), model).into() == Decision::Stop {
                 break;
             }
         }
-        updated
+        stats
     }
 }
 
@@ -692,8 +592,8 @@ mod tests {
         let mut net = earthquake();
         net.set_evidence(2, 0);
         let engine = ChromaticEngine::new(FloatPipeline::new(), 2, 5);
-        let updated = engine.sweep(&mut net, 0);
-        assert_eq!(updated, 4, "5 nodes minus 1 evidence");
+        let stats = engine.run(&mut net, 1);
+        assert_eq!(stats.updates, 4, "5 nodes minus 1 evidence");
     }
 
     #[test]
@@ -805,8 +705,7 @@ mod tests {
     }
 
     #[test]
-    fn controlled_chromatic_run_matches_plain_run_across_threads() {
-        use coopmc_obs::health::NoControl;
+    fn observed_chromatic_run_matches_plain_run_across_threads() {
         let plain = {
             let mut app = image_segmentation(16, 12, 33);
             let engine = ChromaticEngine::new(FloatPipeline::new(), 1, 55);
@@ -816,49 +715,33 @@ mod tests {
         for threads in [1, 3] {
             let mut app = image_segmentation(16, 12, 33);
             let engine = ChromaticEngine::new(FloatPipeline::new(), threads, 55);
-            engine.run_controlled(&mut app.mrf, 4, |_| None, &mut NoControl);
+            engine.run_observed(&mut app.mrf, 4, |_, _| ());
             assert_eq!(plain, app.mrf.labels(), "{threads} threads");
         }
     }
 
     #[test]
-    fn controlled_chromatic_run_reports_counts_and_stops() {
-        use coopmc_obs::health::{ConvergenceController, Decision};
-        #[derive(Default)]
-        struct Probe {
-            sweeps: u64,
-            updates: u64,
-            stats: Vec<f64>,
-        }
-        impl ConvergenceController for Probe {
-            fn observe_sweep(
-                &mut self,
-                it: u64,
-                updates: u64,
-                flips: u64,
-                _fallbacks: u64,
-                stat: Option<f64>,
-            ) -> Decision {
-                self.sweeps = it;
-                self.updates += updates;
-                assert!(flips <= updates);
-                self.stats.push(stat.unwrap());
-                if it >= 3 {
-                    Decision::Stop
-                } else {
-                    Decision::Continue
-                }
-            }
-        }
+    fn observed_chromatic_run_reports_counts_and_stops() {
         let mut app = image_segmentation(14, 10, 34);
         let engine = ChromaticEngine::new(FloatPipeline::new(), 2, 8);
-        let mut probe = Probe::default();
-        let updated = engine.run_controlled(&mut app.mrf, 50, |m| Some(m.energy()), &mut probe);
-        assert_eq!(probe.sweeps, 3, "stopped by the controller");
-        assert_eq!(probe.updates as usize, updated);
-        assert_eq!(updated, 3 * 14 * 10, "every variable, every sweep");
-        assert_eq!(probe.stats.len(), 3);
-        assert!(probe.stats.iter().all(|s| s.is_finite()));
+        let (mut sweeps, mut updates, mut energies) = (0, 0, Vec::new());
+        let stats = engine.run_observed(&mut app.mrf, 50, |c, m| {
+            sweeps = c.iteration;
+            updates += c.updates;
+            assert!(c.flips <= c.updates);
+            energies.push(m.energy());
+            if c.iteration >= 3 {
+                Decision::Stop
+            } else {
+                Decision::Continue
+            }
+        });
+        assert_eq!(sweeps, 3, "stopped by the observer");
+        assert_eq!(stats.iterations, 3);
+        assert_eq!(updates, stats.updates);
+        assert_eq!(stats.updates, 3 * 14 * 10, "every variable, every sweep");
+        assert_eq!(energies.len(), 3);
+        assert!(energies.iter().all(|e| e.is_finite()));
     }
 
     #[test]
@@ -871,11 +754,11 @@ mod tests {
             app.mrf.labels()
         };
         let prof = SpanProfiler::new(4);
-        let (labels, updated) = {
+        let (labels, stats) = {
             let mut app = image_segmentation(20, 16, 21);
             let engine = ChromaticEngine::with_recorder(CoopMcPipeline::new(64, 8), 3, 909, &prof);
-            let updated = engine.run(&mut app.mrf, 4);
-            (app.mrf.labels(), updated)
+            let stats = engine.run(&mut app.mrf, 4);
+            (app.mrf.labels(), stats)
         };
         assert_eq!(base, labels, "profiling must be chain-invisible");
 
@@ -911,7 +794,7 @@ mod tests {
             .filter(|r| r.kernel == Kernel::PuUpdate)
             .map(|r| r.modeled_cycles)
             .sum();
-        assert_eq!(pu, PU_CYCLES * updated as u64);
+        assert_eq!(pu, PU_CYCLES * stats.updates);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! sweep must allocate **nothing**. The CoopMC pipeline's factor path
 //! (LogFusion over borrowed factor rows) is held to the same guarantee on
 //! LDA and on a Bayesian network, under both the Gibbs engine and the
-//! Metropolis–Hastings driver.
+//! Metropolis–Hastings driver, and a warm ICM sweep over caller-owned
+//! buffers allocates nothing either.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a concurrently running sibling test would pollute
@@ -20,8 +21,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use coopmc_core::engine::{GibbsEngine, RunStats};
-use coopmc_core::metropolis::MetropolisEngine;
-use coopmc_core::pipeline::{FixedPipeline, PipelineConfig};
+use coopmc_core::metropolis::{icm_sweep, MetropolisEngine};
+use coopmc_core::pipeline::{FixedPipeline, PgOutput, PipelineConfig};
 use coopmc_models::bn::asia;
 use coopmc_models::lda::{synthetic_corpus, CorpusSpec, Lda};
 use coopmc_models::mrf::image_segmentation;
@@ -74,16 +75,14 @@ fn warm_steady_state_sweep_allocates_nothing() {
         TreeSampler::new(),
         SplitMix64::new(7),
     );
-    let mut stats = RunStats::default();
 
     // Warm-up: grows the engine's score/PG/sampler buffers and the
     // pipeline's per-thread scratch to this model's label count.
-    engine.sweep(&mut app.mrf, &mut stats);
-    engine.sweep(&mut app.mrf, &mut stats);
+    let warm = engine.run(&mut app.mrf, 2);
 
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    engine.sweep(&mut app.mrf, &mut stats);
+    let hot = engine.run(&mut app.mrf, 1);
     ARMED.store(false, Ordering::SeqCst);
 
     let allocs = ALLOCS.load(Ordering::SeqCst);
@@ -91,8 +90,8 @@ fn warm_steady_state_sweep_allocates_nothing() {
         allocs, 0,
         "a warm Gibbs sweep must not touch the heap ({allocs} allocations observed)"
     );
-    assert_eq!(stats.iterations, 3);
-    assert_eq!(stats.updates, 3 * 32 * 32);
+    assert_eq!(warm.iterations + hot.iterations, 3);
+    assert_eq!(warm.updates + hot.updates, 3 * 32 * 32);
 
     // Same guarantee with the observability hooks compiled in but disabled:
     // an engine built explicitly with `NoopRecorder` must monomorphize the
@@ -105,13 +104,11 @@ fn warm_steady_state_sweep_allocates_nothing() {
         SplitMix64::new(7),
         NoopRecorder,
     );
-    let mut stats = RunStats::default();
-    engine.sweep(&mut app.mrf, &mut stats);
-    engine.sweep(&mut app.mrf, &mut stats);
+    engine.run(&mut app.mrf, 2);
 
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    engine.sweep(&mut app.mrf, &mut stats);
+    engine.run(&mut app.mrf, 1);
     ARMED.store(false, Ordering::SeqCst);
 
     let allocs = ALLOCS.load(Ordering::SeqCst);
@@ -141,13 +138,11 @@ fn warm_steady_state_sweep_allocates_nothing() {
             TreeSampler::new(),
             SplitMix64::new(7),
         );
-        let mut stats = RunStats::default();
-        engine.sweep(model, &mut stats);
-        engine.sweep(model, &mut stats);
+        engine.run(model, 2);
 
         ALLOCS.store(0, Ordering::SeqCst);
         ARMED.store(true, Ordering::SeqCst);
-        engine.sweep(model, &mut stats);
+        let stats = engine.run(model, 1);
         ARMED.store(false, Ordering::SeqCst);
 
         let allocs = ALLOCS.load(Ordering::SeqCst);
@@ -183,4 +178,23 @@ fn warm_steady_state_sweep_allocates_nothing() {
             "{name} MH sweep must run the factor path"
         );
     }
+
+    // ICM over caller-owned buffers: once the first sweeps have grown them,
+    // a sweep allocates nothing (the annealing loop's steady state).
+    let mut app = image_segmentation(32, 32, 21);
+    let pipeline = FixedPipeline::new(8, true);
+    let (mut scores, mut pg) = (Vec::new(), PgOutput::new());
+    icm_sweep(&mut app.mrf, &pipeline, &mut scores, &mut pg);
+    icm_sweep(&mut app.mrf, &pipeline, &mut scores, &mut pg);
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    icm_sweep(&mut app.mrf, &pipeline, &mut scores, &mut pg);
+    ARMED.store(false, Ordering::SeqCst);
+
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        allocs, 0,
+        "a warm ICM sweep must not touch the heap ({allocs} allocations observed)"
+    );
 }

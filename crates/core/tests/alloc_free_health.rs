@@ -17,7 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use coopmc_core::engine::{GibbsEngine, RunStats};
+use coopmc_core::engine::GibbsEngine;
 use coopmc_core::pipeline::FixedPipeline;
 use coopmc_models::mrf::image_segmentation;
 use coopmc_obs::health::{ChainHealth, ConvergenceController, EarlyStop, HealthConfig};
@@ -78,7 +78,6 @@ fn warm_monitored_sweep_allocates_nothing() {
         },
     );
     let mut ctl = EarlyStop::monitor(health);
-    let mut stats = RunStats::default();
 
     // Warm-up: grows the engine's scratch buffers and puts enough samples
     // in the health ring that ESS (>= 4), split R-hat (>= 8), MCSE and all
@@ -86,20 +85,18 @@ fn warm_monitored_sweep_allocates_nothing() {
     let observe = |engine: &mut GibbsEngine<_, _, _>,
                    ctl: &mut EarlyStop,
                    app: &mut coopmc_models::mrf::MrfApp,
-                   stats: &mut RunStats| {
-        let (u0, f0, fb0) = (stats.updates, stats.flips, stats.uniform_fallbacks);
-        engine.sweep(&mut app.mrf, stats);
-        ctl.observe_sweep(
-            engine.journal_iteration(),
-            stats.updates - u0,
-            stats.flips - f0,
-            stats.uniform_fallbacks - fb0,
-            Some(app.mrf.energy()),
-        );
+                   sweeps: u64| {
+        engine.run_observed(&mut app.mrf, sweeps, |c, m| {
+            ctl.observe_sweep(
+                c.iteration,
+                c.updates,
+                c.flips,
+                c.uniform_fallbacks,
+                Some(m.energy()),
+            )
+        })
     };
-    for _ in 0..16 {
-        observe(&mut engine, &mut ctl, &mut app, &mut stats);
-    }
+    let warm = observe(&mut engine, &mut ctl, &mut app, 16);
     assert!(
         ctl.health().record().ess.is_some() && ctl.health().record().rhat.is_some(),
         "estimators must be live before the measurement window"
@@ -107,7 +104,7 @@ fn warm_monitored_sweep_allocates_nothing() {
 
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    observe(&mut engine, &mut ctl, &mut app, &mut stats);
+    let hot = observe(&mut engine, &mut ctl, &mut app, 1);
     ARMED.store(false, Ordering::SeqCst);
 
     let allocs = ALLOCS.load(Ordering::SeqCst);
@@ -116,6 +113,6 @@ fn warm_monitored_sweep_allocates_nothing() {
         "a warm health-monitored sweep must not touch the heap \
          ({allocs} allocations observed)"
     );
-    assert_eq!(stats.iterations, 17);
+    assert_eq!(warm.iterations + hot.iterations, 17);
     assert_eq!(ctl.health().record().iteration, 17);
 }

@@ -72,18 +72,16 @@ fn warm_sweep_under_the_profiler_allocates_nothing_and_stays_chain_invisible() {
         SplitMix64::new(7),
         Profiled::new(NoopRecorder, &profiler),
     );
-    let mut stats = coopmc_core::engine::RunStats::default();
 
     // Warm-up: grows the engine's score/PG/sampler buffers and the
     // pipeline's per-thread scratch; the profiler ring is preallocated at
     // construction and may already be dropping spans, which is fine —
     // drops are a counter bump, not an allocation.
-    engine.sweep(&mut app.mrf, &mut stats);
-    engine.sweep(&mut app.mrf, &mut stats);
+    let warm = engine.run(&mut app.mrf, 2);
 
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    engine.sweep(&mut app.mrf, &mut stats);
+    let hot = engine.run(&mut app.mrf, 1);
     ARMED.store(false, Ordering::SeqCst);
 
     let allocs = ALLOCS.load(Ordering::SeqCst);
@@ -92,7 +90,7 @@ fn warm_sweep_under_the_profiler_allocates_nothing_and_stays_chain_invisible() {
         "a warm profiled Gibbs sweep must not touch the heap \
          ({allocs} allocations observed)"
     );
-    assert_eq!(stats.iterations, 3);
+    assert_eq!(warm.iterations + hot.iterations, 3);
 
     // The profiler actually saw the sweeps: kernel aggregates are live.
     let reports = profiler.kernel_reports();

@@ -32,11 +32,12 @@
 //! chain's RNG or labels, so health-on and health-off chains are
 //! bit-identical (pinned by `tests/health.rs` at the workspace root).
 //!
-//! The [`ConvergenceController`] trait is the hook the engines consult
-//! between sweeps (`run_controlled`): [`NoControl`] statically dispatches
-//! into nothing, [`EarlyStop`] stops the chain once rank-normalized R-hat
-//! falls to the threshold *and* windowed ESS reaches the budget — exactly
-//! the progress/early-stop signal the planned `coopmc-serve` needs.
+//! The [`ConvergenceController`] trait is the between-sweep hook a caller
+//! consults from an engine's `run_observed` observer, whose returned
+//! [`Decision`] ends the run: [`EarlyStop`] stops the chain once
+//! rank-normalized R-hat falls to the threshold *and* windowed ESS reaches
+//! the budget — exactly the progress/early-stop signal the planned
+//! `coopmc-serve` needs.
 
 use crate::journal::render_health_line;
 use crate::metrics::{self, Counter, Gauge};
@@ -701,7 +702,8 @@ pub fn inverse_normal_cdf(p: f64) -> f64 {
     }
 }
 
-/// The verdict a [`ConvergenceController`] hands back between sweeps.
+/// The verdict a [`ConvergenceController`] — or any engine observer —
+/// hands back between sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// Keep sampling.
@@ -710,9 +712,15 @@ pub enum Decision {
     Stop,
 }
 
-/// The between-sweep hook the engines consult (`run_controlled`). The
-/// default implementation, [`NoControl`], statically dispatches into
-/// nothing and keeps the controlled path identical to the plain `run`.
+/// An observer that returns `()` never stops the run.
+impl From<()> for Decision {
+    fn from((): ()) -> Self {
+        Decision::Continue
+    }
+}
+
+/// The between-sweep hook a `run_observed` observer consults with the
+/// sweep's counts and the chain statistic.
 pub trait ConvergenceController {
     /// Observe one completed sweep and decide whether to keep running.
     fn observe_sweep(
@@ -723,17 +731,6 @@ pub trait ConvergenceController {
         uniform_fallbacks: u64,
         stat: Option<f64>,
     ) -> Decision;
-}
-
-/// The zero-cost disabled controller: never stops, observes nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoControl;
-
-impl ConvergenceController for NoControl {
-    #[inline]
-    fn observe_sweep(&mut self, _: u64, _: u64, _: u64, _: u64, _: Option<f64>) -> Decision {
-        Decision::Continue
-    }
 }
 
 /// Why (and where) an [`EarlyStop`] run ended.
@@ -1152,17 +1149,6 @@ mod tests {
         }
         assert!(!ctl.stop_info().stopped_early);
         assert!(ctl.stop_info().rhat.unwrap() > 1.5);
-    }
-
-    #[test]
-    fn no_control_always_continues() {
-        let mut ctl = NoControl;
-        for i in 0..10 {
-            assert_eq!(
-                ctl.observe_sweep(i + 1, 1, 0, 0, Some(0.0)),
-                Decision::Continue
-            );
-        }
     }
 
     #[test]

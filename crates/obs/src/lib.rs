@@ -36,7 +36,7 @@ pub mod trace;
 
 pub use health::{
     ChainHealth, ConvergenceController, Decision, EarlyStop, HealthConfig, HealthEvent,
-    HealthEventKind, HealthRecord, NoControl, StopInfo,
+    HealthEventKind, HealthRecord, StopInfo,
 };
 pub use journal::{ColorSample, ProfileSample, SweepSample, HEALTH_SCHEMA, PROFILE_SCHEMA, SCHEMA};
 pub use metrics::{

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example chain_doctor`
 
-use coopmc::core::engine::{GibbsEngine, RunStats};
+use coopmc::core::engine::GibbsEngine;
 use coopmc::core::pipeline::PipelineConfig;
 use coopmc::models::diagnostics::{
     autocorrelation, effective_sample_size, gelman_rubin, geweke_z, thin,
@@ -20,12 +20,8 @@ fn energy_chain(config: PipelineConfig, seed: u64, sweeps: u64) -> Vec<f64> {
     let app = stereo_matching(32, 24, 7);
     let mut model = app.mrf.clone();
     let mut engine = GibbsEngine::new(config.build(), TreeSampler::new(), SplitMix64::new(seed));
-    let mut stats = RunStats::default();
     let mut chain = Vec::new();
-    for _ in 0..sweeps {
-        engine.sweep(&mut model, &mut stats);
-        chain.push(model.energy());
-    }
+    engine.run_observed(&mut model, sweeps, |_, m| chain.push(m.energy()));
     chain
 }
 
@@ -72,12 +68,8 @@ fn main() {
         TreeSampler::new(),
         SplitMix64::new(5),
     );
-    let mut stats = RunStats::default();
     let var = 12 * 32 + 16; // mid-grid pixel
     let mut trace = Vec::new();
-    for _ in 0..40 {
-        engine.sweep(&mut model, &mut stats);
-        trace.push(model.label(var));
-    }
+    engine.run_observed(&mut model, 40, |_, m| trace.push(m.label(var)));
     println!("\nlabel trace of pixel (16, 12) under CoopMC 64x8: {trace:?}");
 }

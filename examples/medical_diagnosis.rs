@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example medical_diagnosis`
 
-use coopmc::core::engine::{GibbsEngine, RunStats};
+use coopmc::core::engine::GibbsEngine;
 use coopmc::core::pipeline::PipelineConfig;
 use coopmc::models::bn::{asia, exact_marginal, MarginalCounter};
 use coopmc::obs::journal::breakdown_percent;
@@ -39,14 +39,12 @@ fn main() {
         &recorder,
     );
     let mut counter = MarginalCounter::new(&net);
-    let mut stats = RunStats::default();
     let burn_in = 500u64;
-    for it in 0..10_000u64 {
-        engine.sweep(&mut net, &mut stats);
-        if it >= burn_in {
-            counter.record(&net);
+    engine.run_observed(&mut net, 10_000, |c, n| {
+        if c.iteration > burn_in {
+            counter.record(n);
         }
-    }
+    });
 
     for name in targets {
         let ix = net.node_index(name).unwrap();

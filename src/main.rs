@@ -21,18 +21,21 @@
 
 use std::process::ExitCode;
 
-use coopmc::core::engine::{GibbsEngine, RunStats};
+use coopmc::core::engine::{GibbsEngine, SweepCounts};
 use coopmc::core::parallel::ChromaticEngine;
-use coopmc::core::pipeline::{CoopMcPipeline, PipelineConfig, ProbabilityPipeline};
+use coopmc::core::pipeline::{CoopMcPipeline, PipelineConfig};
 use coopmc::hw::accel::case_study_table;
 use coopmc::hw::area::{sampler_area, SamplerKind};
 use coopmc::hw::reconcile::divergence_ledger;
 use coopmc::hw::roofline::roofline;
+use coopmc::models::bn::BayesNet;
+use coopmc::models::lda::Lda;
+use coopmc::models::mrf::GridMrf;
 use coopmc::models::workloads::{all_workloads, BuiltWorkload, WorkloadSpec};
 use coopmc::models::GibbsModel;
 use coopmc::obs::health::{ChainHealth, ConvergenceController, Decision, EarlyStop, HealthConfig};
 use coopmc::obs::{NoopRecorder, Profiled, Recorder, SpanProfiler, TraceRecorder};
-use coopmc::rng::{HwRng, SplitMix64};
+use coopmc::rng::SplitMix64;
 use coopmc::sampler::{AliasSampler, PipeTreeSampler, Sampler, SequentialSampler, TreeSampler};
 
 /// Parsed `run` subcommand options.
@@ -294,52 +297,32 @@ fn report_health(ctl: &EarlyStop, budget: u64) {
     );
 }
 
-/// Drive up to `sweeps` manual sweeps of a sequential engine. `after_sweep`
-/// sees the model after every sweep; the per-sweep statistic from
-/// `stat_fn` is computed only when the engine's recorder journals it or
-/// `controller` (health / early stop) needs it. The manual loop exists
-/// because the interesting statistics (energy, joint probability,
-/// log-likelihood) live on the concrete model types, which
-/// `GibbsEngine::run_controlled`'s `&dyn GibbsModel` callback cannot see.
-fn drive_gibbs<P, S, R, Rec, M>(
-    engine: &mut GibbsEngine<P, S, R, Rec>,
-    model: &mut M,
-    sweeps: u64,
-    mut after_sweep: impl FnMut(&M),
-    stat_fn: impl Fn(&M) -> f64,
-    mut controller: Option<&mut EarlyStop<'_>>,
-) where
-    P: ProbabilityPipeline,
-    S: Sampler,
-    R: HwRng,
-    Rec: Recorder,
-    M: GibbsModel,
-{
-    let journaling = engine.recorder().enabled();
-    let mut stats = RunStats::default();
-    for _ in 0..sweeps {
-        let (u0, f0, fb0) = (stats.updates, stats.flips, stats.uniform_fallbacks);
-        engine.sweep(model, &mut stats);
-        after_sweep(model);
-        if !journaling && controller.is_none() {
-            continue;
+/// The per-sweep observer of every `run` branch: journals the chain
+/// statistic `stat` when `rec` is enabled and hands it, with the sweep's
+/// counts, to the health `controller` (if any), whose decision ends the
+/// run. `stat` is evaluated only when one of the two consumes it.
+fn watch<'a, M: ?Sized, Rec: Recorder + 'a, C: ConvergenceController>(
+    rec: Rec,
+    mut controller: Option<&'a mut C>,
+    stat: impl Fn(&M) -> f64 + 'a,
+) -> impl FnMut(&SweepCounts, &M) -> Decision + 'a {
+    move |c, m| {
+        if !rec.enabled() && controller.is_none() {
+            return Decision::Continue;
         }
-        let stat = stat_fn(model);
-        let it = engine.journal_iteration();
-        if journaling {
-            engine.recorder().observe_stat(0, it, stat);
+        let v = stat(m);
+        if rec.enabled() {
+            rec.observe_stat(0, c.iteration, v);
         }
-        if let Some(ctl) = controller.as_deref_mut() {
-            let decision = ctl.observe_sweep(
-                it,
-                stats.updates - u0,
-                stats.flips - f0,
-                stats.uniform_fallbacks - fb0,
-                Some(stat),
-            );
-            if decision == Decision::Stop {
-                break;
-            }
+        match controller.as_deref_mut() {
+            Some(ctl) => ctl.observe_sweep(
+                c.iteration,
+                c.updates,
+                c.flips,
+                c.uniform_fallbacks,
+                Some(v),
+            ),
+            None => Decision::Continue,
         }
     }
 }
@@ -366,6 +349,7 @@ fn run_workload<Rec: Recorder + Copy>(
     match built {
         BuiltWorkload::Mrf(mut app) => {
             let e0 = app.mrf.energy();
+            let observer = watch(rec, controller, GridMrf::energy);
             if args.threads > 1 {
                 let (size, bits) = match args.pipeline {
                     PipelineConfig::CoopMc { size_lut, bit_lut } => (size_lut, bit_lut),
@@ -381,18 +365,7 @@ fn run_workload<Rec: Recorder + Copy>(
                     args.seed,
                     rec,
                 );
-                match controller {
-                    Some(ctl) => {
-                        engine.run_controlled(&mut app.mrf, args.sweeps, |m| Some(m.energy()), ctl);
-                    }
-                    None => {
-                        engine.run_observed(&mut app.mrf, args.sweeps, |it, m| {
-                            if rec.enabled() {
-                                rec.observe_stat(0, it, m.energy());
-                            }
-                        });
-                    }
-                }
+                engine.run_observed(&mut app.mrf, args.sweeps, observer);
             } else {
                 let mut engine = GibbsEngine::with_recorder(
                     args.pipeline.build(),
@@ -400,14 +373,7 @@ fn run_workload<Rec: Recorder + Copy>(
                     SplitMix64::new(args.seed),
                     rec,
                 );
-                drive_gibbs(
-                    &mut engine,
-                    &mut app.mrf,
-                    args.sweeps,
-                    |_| {},
-                    |m| m.energy(),
-                    controller,
-                );
+                engine.run_observed(&mut app.mrf, args.sweeps, observer);
             }
             println!("energy: {e0:.1} -> {:.1}", app.mrf.energy());
         }
@@ -419,14 +385,11 @@ fn run_workload<Rec: Recorder + Copy>(
                 SplitMix64::new(args.seed),
                 rec,
             );
-            drive_gibbs(
-                &mut engine,
-                &mut net,
-                args.sweeps,
-                |n| counter.record(n),
-                |n| n.joint_prob().ln(),
-                controller,
-            );
+            let mut observer = watch(rec, controller, |n: &BayesNet| n.joint_prob().ln());
+            engine.run_observed(&mut net, args.sweeps, |c, n| {
+                counter.record(n);
+                observer(c, n)
+            });
             println!("{:<14} {:>10}", "node", "P(label 0)");
             for v in 0..net.num_variables() {
                 println!(
@@ -444,14 +407,8 @@ fn run_workload<Rec: Recorder + Copy>(
                 SplitMix64::new(args.seed),
                 rec,
             );
-            drive_gibbs(
-                &mut engine,
-                &mut lda,
-                args.sweeps,
-                |_| {},
-                |l| l.log_likelihood(),
-                controller,
-            );
+            let observer = watch(rec, controller, Lda::log_likelihood);
+            engine.run_observed(&mut lda, args.sweeps, observer);
             println!("log-likelihood: {ll0:.0} -> {:.0}", lda.log_likelihood());
         }
     }

@@ -54,7 +54,7 @@ fn starved_lut_degrades_bn_inference() {
 /// cause marginal in the same direction as exact inference.
 #[test]
 fn evidence_shifts_marginals_in_the_right_direction() {
-    use coopmc::core::engine::{GibbsEngine, RunStats};
+    use coopmc::core::engine::GibbsEngine;
     use coopmc::models::bn::{exact_marginal, MarginalCounter};
     use coopmc::rng::SplitMix64;
     use coopmc::sampler::TreeSampler;
@@ -77,13 +77,11 @@ fn evidence_shifts_marginals_in_the_right_direction() {
         SplitMix64::new(3),
     );
     let mut counter = MarginalCounter::new(&net);
-    let mut stats = RunStats::default();
-    for it in 0..8000u64 {
-        engine.sweep(&mut net, &mut stats);
-        if it >= 500 {
-            counter.record(&net);
+    engine.run_observed(&mut net, 8000, |c, n| {
+        if c.iteration > 500 {
+            counter.record(n);
         }
-    }
+    });
     let gibbs = counter.marginal(burglary)[0];
     assert!(
         (gibbs - exact).abs() < 0.05,

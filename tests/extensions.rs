@@ -5,7 +5,7 @@
 use coopmc::core::engine::{GibbsEngine, RunStats};
 use coopmc::core::metropolis::{icm_sweep, MetropolisEngine};
 use coopmc::core::parallel::ChromaticEngine;
-use coopmc::core::pipeline::{CoopMcPipeline, FloatPipeline, PipelineConfig};
+use coopmc::core::pipeline::{CoopMcPipeline, FloatPipeline, PgOutput, PipelineConfig};
 use coopmc::models::bn::{cancer, exact_marginal, sprinkler, MarginalCounter};
 use coopmc::models::coloring::{verify_coloring, ChromaticModel};
 use coopmc::models::diagnostics::{
@@ -99,8 +99,9 @@ fn icm_descends_with_missing_data() {
     let mut app = image_restoration(24, 20, 5);
     let pipeline = FloatPipeline::new();
     let e0 = app.mrf.energy();
+    let (mut scores, mut pg) = (Vec::new(), PgOutput::new());
     let mut sweeps = 0;
-    while icm_sweep(&mut app.mrf, &pipeline) > 0 && sweeps < 100 {
+    while icm_sweep(&mut app.mrf, &pipeline, &mut scores, &mut pg) > 0 && sweeps < 100 {
         sweeps += 1;
     }
     assert!(app.mrf.energy() < e0);
@@ -119,12 +120,8 @@ fn diagnostics_separate_healthy_from_broken_chains() {
             TreeSampler::new(),
             SplitMix64::new(seed),
         );
-        let mut stats = RunStats::default();
         let mut out = Vec::new();
-        for _ in 0..70 {
-            engine.sweep(&mut model, &mut stats);
-            out.push(model.energy());
-        }
+        engine.run_observed(&mut model, 70, |_, m| out.push(m.energy()));
         out[20..].to_vec()
     };
     let healthy: Vec<Vec<f64>> = (0..4).map(chain).collect();

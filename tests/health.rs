@@ -4,7 +4,7 @@
 //! inside its sweep budget with the converged R-hat on record, and health
 //! diagnostics are thread-count independent on the chromatic engine.
 
-use coopmc::core::engine::{GibbsEngine, RunStats};
+use coopmc::core::engine::{GibbsEngine, SweepCounts};
 use coopmc::core::parallel::ChromaticEngine;
 use coopmc::core::pipeline::{CoopMcPipeline, PipelineConfig};
 use coopmc::models::bn::asia;
@@ -15,6 +15,27 @@ use coopmc::obs::journal::{validate_journal, HEALTH_SCHEMA};
 use coopmc::obs::{json, Recorder, TraceRecorder};
 use coopmc::rng::SplitMix64;
 use coopmc::sampler::TreeSampler;
+
+/// Journal the chain statistic `stat` and hand it, with the sweep's counts,
+/// to `ctl` (if any): the observer a monitored CLI run installs.
+fn monitor(
+    recorder: &TraceRecorder,
+    ctl: Option<&mut EarlyStop<'_>>,
+    c: &SweepCounts,
+    stat: f64,
+) -> Decision {
+    recorder.observe_stat(0, c.iteration, stat);
+    match ctl {
+        Some(ctl) => ctl.observe_sweep(
+            c.iteration,
+            c.updates,
+            c.flips,
+            c.uniform_fallbacks,
+            Some(stat),
+        ),
+        None => Decision::Continue,
+    }
+}
 
 /// Health config for tests: metrics off so parallel tests don't race on the
 /// process-global registry.
@@ -46,22 +67,9 @@ fn mrf_chain(sweeps: u64, health: bool) -> (Vec<usize>, String) {
         ))
         .with_recorder(&recorder)
     });
-    let mut stats = RunStats::default();
-    for _ in 0..sweeps {
-        let (u0, f0, fb0) = (stats.updates, stats.flips, stats.uniform_fallbacks);
-        engine.sweep(&mut app.mrf, &mut stats);
-        let energy = app.mrf.energy();
-        recorder.observe_stat(0, engine.journal_iteration(), energy);
-        if let Some(c) = ctl.as_mut() {
-            c.observe_sweep(
-                engine.journal_iteration(),
-                stats.updates - u0,
-                stats.flips - f0,
-                stats.uniform_fallbacks - fb0,
-                Some(energy),
-            );
-        }
-    }
+    engine.run_observed(&mut app.mrf, sweeps, |c, m| {
+        monitor(&recorder, ctl.as_mut(), c, m.energy())
+    });
     (app.mrf.labels(), recorder.journal_jsonl())
 }
 
@@ -120,23 +128,9 @@ fn early_stop_ends_an_easy_chain_inside_half_the_budget() {
     );
     let health = ChainHealth::new(0, quiet(HealthConfig::default()));
     let mut ctl = EarlyStop::new(health, 1.01, 50.0).with_recorder(&recorder);
-    let mut stats = RunStats::default();
-    for _ in 0..BUDGET {
-        let (u0, f0, fb0) = (stats.updates, stats.flips, stats.uniform_fallbacks);
-        engine.sweep(&mut net, &mut stats);
-        let stat = net.joint_prob().ln();
-        recorder.observe_stat(0, engine.journal_iteration(), stat);
-        let decision = ctl.observe_sweep(
-            engine.journal_iteration(),
-            stats.updates - u0,
-            stats.flips - f0,
-            stats.uniform_fallbacks - fb0,
-            Some(stat),
-        );
-        if decision == Decision::Stop {
-            break;
-        }
-    }
+    engine.run_observed(&mut net, BUDGET, |c, n| {
+        monitor(&recorder, Some(&mut ctl), c, n.joint_prob().ln())
+    });
 
     let info = ctl.stop_info();
     assert!(
@@ -179,7 +173,15 @@ fn chromatic_health_diagnostics_are_thread_count_independent() {
                 ..HealthConfig::default()
             }),
         ));
-        engine.run_controlled(&mut app.mrf, 16, |m| Some(m.energy()), &mut ctl);
+        engine.run_observed(&mut app.mrf, 16, |c, m| {
+            ctl.observe_sweep(
+                c.iteration,
+                c.updates,
+                c.flips,
+                c.uniform_fallbacks,
+                Some(m.energy()),
+            )
+        });
         (app.mrf.labels(), *ctl.health().record())
     };
     let (labels_1, rec_1) = run(1);

@@ -27,11 +27,9 @@ fn traced_mrf_chain(sweeps: u64) -> (TraceRecorder, u64, usize) {
         SplitMix64::new(3),
         &recorder,
     );
-    let mut stats = RunStats::default();
-    for _ in 0..sweeps {
-        engine.sweep(&mut app.mrf, &mut stats);
-        recorder.observe_stat(0, engine.journal_iteration(), app.mrf.energy());
-    }
+    let stats = engine.run_observed(&mut app.mrf, sweeps, |c, m| {
+        recorder.observe_stat(0, c.iteration, m.energy());
+    });
     (recorder, stats.updates, n_labels)
 }
 
@@ -164,12 +162,12 @@ fn sequential_run<Rec: Recorder>(rec: Rec) -> (RunStats, Vec<usize>) {
     (stats, app.mrf.labels())
 }
 
-/// A short chromatic CoopMC chain under `rec`: its update count and labels.
-fn chromatic_run<Rec: Recorder>(threads: usize, rec: Rec) -> (usize, Vec<usize>) {
+/// A short chromatic CoopMC chain under `rec`: its counts and labels.
+fn chromatic_run<Rec: Recorder>(threads: usize, rec: Rec) -> (RunStats, Vec<usize>) {
     let mut app = image_segmentation(20, 16, 42);
     let engine = ChromaticEngine::with_recorder(CoopMcPipeline::new(64, 8), threads, 77, rec);
-    let updated = engine.run(&mut app.mrf, 4);
-    (updated, app.mrf.labels())
+    let stats = engine.run(&mut app.mrf, 4);
+    (stats, app.mrf.labels())
 }
 
 #[test]
@@ -185,6 +183,7 @@ fn instrumentation_does_not_change_counts() {
     );
 
     let plain = chromatic_run(1, NoopRecorder);
+    assert!(plain.0.ops.lut > 0 && plain.0.pg_cycles > 0 && plain.0.sd_cycles > 0);
     for threads in [1, 3] {
         let (trace, prof) = (TraceRecorder::new(), SpanProfiler::new(threads + 1));
         assert_eq!(
@@ -239,7 +238,11 @@ fn one_capture_set_feeds_the_journal_and_the_profiler() {
 
     for threads in [1, 3] {
         let (trace, prof) = (TraceRecorder::new(), SpanProfiler::new(threads + 1));
-        chromatic_run(threads, Profiled::new(&trace, &prof));
-        assert_views_agree(&trace, &prof);
+        let (stats, _) = chromatic_run(threads, Profiled::new(&trace, &prof));
+        assert_eq!(
+            assert_views_agree(&trace, &prof),
+            stats.simulated_hw_cycles(),
+            "{threads}t"
+        );
     }
 }

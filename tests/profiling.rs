@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use coopmc::core::engine::{GibbsEngine, RunStats};
+use coopmc::core::engine::GibbsEngine;
 use coopmc::core::parallel::ChromaticEngine;
 use coopmc::core::pipeline::{CoopMcPipeline, FloatPipeline};
 use coopmc::hw::reconcile::divergence_ledger;
@@ -46,7 +46,6 @@ fn seq_labels<P: coopmc::core::pipeline::ProbabilityPipeline>(
     dims: (usize, usize, u64),
 ) -> Vec<usize> {
     let mut app = image_segmentation(dims.0, dims.1, dims.2);
-    let mut stats = RunStats::default();
     match profiler {
         Some(p) => {
             let mut engine = GibbsEngine::with_recorder(
@@ -55,15 +54,11 @@ fn seq_labels<P: coopmc::core::pipeline::ProbabilityPipeline>(
                 SplitMix64::new(seed),
                 Profiled::new(NoopRecorder, p),
             );
-            for _ in 0..sweeps {
-                engine.sweep(&mut app.mrf, &mut stats);
-            }
+            engine.run(&mut app.mrf, sweeps);
         }
         None => {
             let mut engine = GibbsEngine::new(pipeline, TreeSampler::new(), SplitMix64::new(seed));
-            for _ in 0..sweeps {
-                engine.sweep(&mut app.mrf, &mut stats);
-            }
+            engine.run(&mut app.mrf, sweeps);
         }
     }
     app.mrf.labels().to_vec()
@@ -75,15 +70,11 @@ fn chromatic_labels(profiler: Option<&SpanProfiler>) -> Vec<usize> {
     match profiler {
         Some(p) => {
             let engine = ChromaticEngine::with_recorder(CoopMcPipeline::new(64, 8), 3, 909, p);
-            for it in 0..6 {
-                engine.sweep(&mut app.mrf, it);
-            }
+            engine.run(&mut app.mrf, 6);
         }
         None => {
             let engine = ChromaticEngine::new(CoopMcPipeline::new(64, 8), 3, 909);
-            for it in 0..6 {
-                engine.sweep(&mut app.mrf, it);
-            }
+            engine.run(&mut app.mrf, 6);
         }
     }
     app.mrf.labels().to_vec()
@@ -137,13 +128,10 @@ fn flamegraph_self_times_sum_to_measured_wall_within_5_percent() {
         SplitMix64::new(5),
         Profiled::new(NoopRecorder, &profiler),
     );
-    let mut stats = RunStats::default();
     // Every span the engine opens lives inside a sweep, so walling the
-    // whole sweep loop leaves only the loop's own bookkeeping unspanned.
+    // whole run leaves only the driver's own bookkeeping unspanned.
     let start = Instant::now();
-    for _ in 0..7 {
-        engine.sweep(&mut app.mrf, &mut stats);
-    }
+    engine.run(&mut app.mrf, 7);
     let wall_ns = start.elapsed().as_nanos() as f64;
 
     // Collapsed-stack lines are "<stack> <self_ns>"; summing every line's
@@ -178,10 +166,7 @@ fn divergence_ledger_reconciles_a_real_run_and_the_gate_is_live() {
         SplitMix64::new(9),
         Profiled::new(NoopRecorder, &profiler),
     );
-    let mut stats = RunStats::default();
-    for _ in 0..5 {
-        engine.sweep(&mut app.mrf, &mut stats);
-    }
+    engine.run(&mut app.mrf, 5);
     let reports = profiler.kernel_reports();
 
     // The CLI's shipping tolerance must reconcile every gated kernel.
